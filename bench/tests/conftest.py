@@ -1,0 +1,16 @@
+"""Self-tests of the benchmark; run them explicitly:
+
+    python -m pytest bench/tests -q
+
+They are outside the repository's tier-1 ``testpaths`` on purpose.
+"""
+
+import os
+import sys
+
+BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROOT = os.path.dirname(BENCH)
+
+for path in (os.path.join(ROOT, "src"), BENCH):
+    if path not in sys.path:
+        sys.path.insert(0, path)
