@@ -9,14 +9,25 @@ Two server-heavy query shapes on a 10M-row table (scaled by
 
 Writes the machine-readable perf record ``BENCH_parallel.json`` (git
 SHA, timestamp, per-configuration timings and rows/s) via the shared
-writer in conftest.  The vectorized morsel kernels do strictly less
-work than the serial operators (local ``bincount`` aggregation instead
-of a full-table argsort; candidate pools instead of a full gather), so
-parallel execution must be *faster* than serial, not merely not-slower:
-CI's perf-smoke job fails when the 4-worker aggregate speedup falls
-below ``REPRO_BENCH_MIN_PARALLEL_SPEEDUP`` (default 1.5x).  The fitted
-``parallel_efficiency`` in the record feeds
-``repro.planner.calibrate.refit_from_report``.
+writer in conftest.  Both executors group and aggregate with the same
+kernels (``repro.engine.kernels``), so the aggregate's speedup is only
+what the extra workers buy (about 1.2x on two cores) — too close to 1
+for a speedup margin to tell a serial fallback from noise.  CI's
+perf-smoke tripwire therefore has two halves:
+
+* no plan node of either query takes a serial fallback under 2 or 4
+  workers, and the nodes that split run one task per morsel (read from
+  ``explain_analyze_data``; a kernel that falls back to the serial path
+  fails here whatever the timings say);
+* the 4-worker aggregate is at least ``REPRO_BENCH_MIN_PARALLEL_SPEEDUP``
+  times as fast as serial (default 1.0: splitting and merging must cost
+  less than the workers gain, which bounds the merge to a fifth of the
+  serial time).
+
+The committed ``BENCH_parallel.json`` predates the shared kernels — its
+7x, the same with 2 and with 4 workers, is the former serial per-group
+loop being slow — and its ``parallel_efficiency`` of 2.01 must not be
+consumed (``repro.planner.calibrate.refit_from_report`` clamps to 1.0).
 """
 
 import os
@@ -65,6 +76,15 @@ def best_seconds(db, sql, repeats=REPEATS):
     return best
 
 
+def morsel_report(db, sql):
+    """``(serial fallback reasons, morsel tasks run)`` of one analyzed
+    execution of ``sql``."""
+    _, nodes = db.explain_analyze_data(sql)
+    fallbacks = [node["fallback"] for node in nodes if "fallback" in node]
+    tasks = sum(len(node.get("morsels", ())) for node in nodes)
+    return fallbacks, tasks
+
+
 def test_e10_parallel_execution(benchmark):
     num_rows = scaled(ROWS)
     table = build_table(num_rows)
@@ -98,6 +118,23 @@ def test_e10_parallel_execution(benchmark):
                 reference[name] = out.to_rows()
             else:
                 assert out.num_rows == rows_out
+        fallbacks = {}
+        morsel_tasks = {}
+        for workers in WORKER_COUNTS[1:]:
+            label = "workers{}".format(workers)
+            reasons, morsel_tasks[label] = morsel_report(
+                databases[workers], sql
+            )
+            fallbacks[label] = len(reasons)
+            assert not reasons, (
+                "{} with {} workers fell back to the serial path: "
+                "{}".format(name, workers, reasons)
+            )
+            assert morsel_tasks[label] >= (
+                num_rows // databases[workers].morsel_rows
+            ), "{} with {} workers ran {} morsel tasks over {} rows".format(
+                name, workers, morsel_tasks[label], num_rows
+            )
         serial = timings["serial"]
         speedup4 = serial / max(timings["workers4"], 1e-9)
         results["queries"][name] = {
@@ -105,6 +142,8 @@ def test_e10_parallel_execution(benchmark):
             "rows_out": rows_out,
             "seconds": timings,
             "throughput": throughput,
+            "serial_fallbacks": fallbacks,
+            "morsel_tasks": morsel_tasks,
             "speedup_vs_serial": {
                 "workers2": serial / max(timings["workers2"], 1e-9),
                 "workers4": speedup4,
@@ -150,12 +189,12 @@ def test_e10_parallel_execution(benchmark):
                 else:
                     assert parallel_value == serial_value
 
-    # The speedup tripwire: the 4-worker aggregate must actually beat
-    # serial by the configured floor.  The vectorized morsel pipeline is
-    # algorithmically cheaper than the serial operators, so this holds
-    # even on a single-core runner.
+    # The timing half of the tripwire (the fallback half ran above):
+    # splitting the aggregate into morsels and merging the partial
+    # states must not cost more than the workers gain — the kernels are
+    # the serial executor's own, so nothing else separates the two.
     min_speedup = float(
-        os.environ.get("REPRO_BENCH_MIN_PARALLEL_SPEEDUP", "1.5")
+        os.environ.get("REPRO_BENCH_MIN_PARALLEL_SPEEDUP", "1.0")
     )
     assert tripwire_speedup >= min_speedup, (
         "{}: 4-worker speedup {:.2f}x is below the {:.2f}x floor "

@@ -470,7 +470,7 @@ class VegaPlus:
         rows = list(rows)
         if not rows:
             raise SessionError("append_data needs at least one row")
-        from repro.engine import Table, concat_tables
+        from repro.engine import Table, append_stats, concat_tables
 
         incoming = Table.from_rows(
             rows, column_order=self.tables[name].column_names
@@ -479,7 +479,9 @@ class VegaPlus:
         self.tables[name] = merged
         self._rows_cache[name] = None
         self.backend.load_table(name, merged)
-        self.table_stats[name] = compute_stats(merged)
+        self.table_stats[name] = append_stats(
+            self.table_stats[name], merged, incoming
+        )
         # Every cached result derived from this table is stale.
         self.cache.clear()
         for state in self._sink_states.values():

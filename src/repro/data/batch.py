@@ -13,13 +13,17 @@ keep working.  Those classes are imported lazily at raise time so this
 package has no import-time dependency on ``repro.engine``.
 """
 
+import itertools
+
 import numpy as np
 
 from repro.data.chunked import (
     ArrayChunk,
     DictChunk,
+    coded_nbytes,
     note_consolidation,
     resolve_chunk_rows,
+    varchar_nbytes,
 )
 from repro.data.types import SQLType, infer_type
 
@@ -34,6 +38,134 @@ def _type_mismatch_error(message):
     from repro.engine.errors import TypeMismatchError
 
     return TypeMismatchError(message)
+
+
+def factorize_strings(data, valid):
+    """Dictionary-code an object array of strings by hashing (only the
+    distinct values are sorted, never the rows).
+
+    Returns ``(codes, dictionary, lengths)`` — ``int32`` codes with 0 on
+    invalid rows, the sorted duplicate-free dictionary as an object
+    array (empty when no row is valid), its ``len()`` table — or None
+    when the values are not hashable, mutually comparable and sized,
+    i.e. not strings."""
+    values = data.tolist()
+    all_valid = bool(valid.all())
+    try:
+        entries = sorted(
+            dict.fromkeys(values if all_valid else data[valid].tolist())
+        )
+        dictionary, lengths = _dictionary_arrays(entries)
+    except TypeError:
+        return None
+    index = {value: code for code, value in enumerate(entries)}
+    codes = np.fromiter(
+        map(index.get, values, itertools.repeat(0)),
+        dtype=np.int32, count=len(values),
+    )
+    if not all_valid:
+        codes[~valid] = 0
+    return codes, dictionary, lengths
+
+
+def _dictionary_arrays(entries):
+    """A sorted list of strings as a decode table and its length table."""
+    dictionary = np.empty(len(entries), dtype=object)
+    dictionary[:] = entries
+    lengths = np.fromiter(
+        map(len, entries), dtype=np.int64, count=len(entries)
+    )
+    return dictionary, lengths
+
+
+def _flatten_coded(chunks):
+    """Dictionary chunks over one shared dictionary as a single coding,
+    ``(codes, valid, dictionary, lengths)`` with the dictionary sorted
+    and duplicate-free (codes are remapped, no row is decoded), or None
+    when the chunks are of another kind or the dictionary holds at
+    least half as many entries as there are rows — the rule that keeps
+    :meth:`Column.encode` from coding a column."""
+    shared = getattr(chunks[0], "dictionary", None)
+    if shared is None or any(
+        getattr(chunk, "dictionary", None) is not shared for chunk in chunks
+    ):
+        return None
+    values = shared.tolist()
+    entries = sorted(set(values))
+    if not 0 < 2 * len(entries) < sum(len(chunk) for chunk in chunks):
+        return None
+    index = {value: code for code, value in enumerate(entries)}
+    remap = np.fromiter(
+        map(index.__getitem__, values), dtype=np.int32, count=len(values)
+    )
+    codes = np.concatenate(
+        [np.asarray(chunk.codes, dtype=np.int32) for chunk in chunks]
+    )
+    valid = np.concatenate(
+        [np.asarray(chunk.valid, dtype=np.bool_) for chunk in chunks]
+    )
+    return (remap[codes], valid) + _dictionary_arrays(entries)
+
+
+def _concat_coded(parts):
+    """Concatenate VARCHAR columns of which at least one is coded by
+    merging the dictionaries and remapping codes: rows that are already
+    coded are neither decoded nor re-sorted.  Returns None (the caller
+    concatenates plain strings) when a part is not made of strings or
+    the merged dictionary reaches half the rows — the same rule that
+    keeps :meth:`Column.encode` from coding a column."""
+    coded = []
+    for part in parts:
+        if part.codes is not None:
+            coded.append((part.codes, part.dictionary, part._lengths))
+            continue
+        triple = factorize_strings(part.data, part.valid)
+        if triple is None:
+            return None
+        coded.append(triple)
+    _, dictionary, lengths = coded[0]
+    if all(other is dictionary for _, other, _ in coded):
+        pieces = [codes for codes, _, _ in coded]  # slices of one column
+    else:
+        entries = sorted(set().union(
+            *[other.tolist() for _, other, _ in coded]
+        ))
+        index = {value: code for code, value in enumerate(entries)}
+        pieces = []
+        for codes, other, _ in coded:
+            # A sub-dictionary as long as the union is the union.
+            if len(other) != len(entries) and len(other):
+                remap = np.fromiter(
+                    map(index.__getitem__, other.tolist()),
+                    dtype=np.int32, count=len(other),
+                )
+                codes = remap[codes]
+            pieces.append(codes)
+        dictionary, lengths = _dictionary_arrays(entries)
+    if 2 * len(dictionary) >= sum(len(part) for part in parts):
+        return None
+    return Column.from_codes(
+        np.concatenate(pieces),
+        np.concatenate([part.valid for part in parts]),
+        dictionary,
+        lengths,
+    )
+
+
+def concat_columns(parts):
+    """One contiguous column from same-typed columns laid end to end
+    (dictionary coding survives, see :func:`_concat_coded`)."""
+    if len(parts) == 1:
+        return parts[0]
+    if any(part.codes is not None for part in parts):
+        merged = _concat_coded(parts)
+        if merged is not None:
+            return merged
+    return Column(
+        parts[0].type,
+        np.concatenate([part.data for part in parts]),
+        np.concatenate([part.valid for part in parts]),
+    )
 
 
 class Column:
@@ -55,13 +187,29 @@ class Column:
     (slicing it is zero-copy lazy paging) but still declares logical
     chunk boundaries so executors align work to them; its ``backing``
     can release page ranges after a streaming pass.
+
+    A contiguous VARCHAR column may be *dictionary-coded* (see
+    :meth:`encode`): ``_data`` is dropped and the rows live as ``int32``
+    codes into a sorted, duplicate-free dictionary, with the
+    dictionary's length table beside it — the triple
+    :class:`~repro.data.chunked.DictChunk` uses on disk.  Because the
+    dictionary is sorted, code order is string order, so grouping,
+    sorting and MIN/MAX run on the codes; ``take`` / ``mask`` / ``slice``
+    and ``concat_batches`` keep the coding; ``data`` decodes a fresh
+    object array on every access (nothing is cached, so a coded base
+    table never holds its strings twice).  A column of dictionary
+    chunks consolidates to this form, never to strings.
     """
 
-    __slots__ = ("type", "_data", "_valid", "_chunks", "_offsets", "backing")
+    __slots__ = ("type", "_data", "_valid", "_chunks", "_offsets", "backing",
+                 "_codes", "_dictionary", "_lengths")
 
     def __init__(self, sql_type, data, valid=None, offsets=None, backing=None):
         self.type = sql_type
         self._chunks = None
+        self._codes = None
+        self._dictionary = None
+        self._lengths = None
         self.backing = backing
         self._data = np.asarray(data, dtype=sql_type.numpy_dtype())
         if valid is None:
@@ -94,19 +242,87 @@ class Column:
         column._data = None
         column._valid = None
         column._chunks = normalized
+        column._codes = None
+        column._dictionary = None
+        column._lengths = None
         column.backing = backing
         offsets = np.zeros(len(normalized) + 1, dtype=np.int64)
         np.cumsum([len(chunk) for chunk in normalized], out=offsets[1:])
         column._offsets = offsets
         return column
 
+    @classmethod
+    def from_codes(cls, codes, valid, dictionary, lengths):
+        """A dictionary-coded VARCHAR column over existing arrays.
+
+        ``dictionary`` must be sorted and duplicate-free, ``lengths``
+        its ``len()`` table, ``codes`` in ``[0, len(dictionary))`` on
+        valid rows (invalid rows carry any in-range placeholder)."""
+        column = cls.__new__(cls)
+        column.type = SQLType.VARCHAR
+        column._data = None
+        column._valid = valid
+        column._chunks = None
+        column._offsets = None
+        column._codes = codes
+        column._dictionary = dictionary
+        column._lengths = lengths
+        column.backing = None
+        return column
+
+    # -- dictionary coding -------------------------------------------------
+
+    @property
+    def codes(self):
+        """``int32`` dictionary codes of a coded column, else None."""
+        return self._codes
+
+    @property
+    def dictionary(self):
+        """The sorted decode table of a coded column, else None."""
+        return self._dictionary
+
+    def encode(self):
+        """Switch a contiguous plain VARCHAR column to dictionary coding,
+        in place (the object array is dropped, not kept beside the
+        codes).  A column whose dictionary would hold at least half as
+        many entries as it has rows stays plain, as does anything that
+        is not an undivided VARCHAR column of comparable strings —
+        columns that declare chunk boundaries belong to the out-of-core
+        layout and keep it."""
+        if (
+            self.type is not SQLType.VARCHAR
+            or self._data is None
+            or self._offsets is not None
+        ):
+            return
+        coded = factorize_strings(self._data, self._valid)
+        if coded is None or not 0 < 2 * len(coded[1]) < len(self._data):
+            return
+        # Codes first, then drop the strings: a concurrent reader sees
+        # either complete representation, never neither.
+        self._codes, self._dictionary, self._lengths = coded
+        self._data = None
+
+    def _decode(self):
+        valid = self._valid
+        data = self._dictionary[self._codes]
+        if not valid.all():
+            data[~valid] = ""  # the Column.nulls placeholder
+        return data
+
     # -- storage layout ----------------------------------------------------
 
     @property
     def data(self):
-        if self._chunks is not None:
+        data = self._data
+        if data is not None:
+            return data
+        if self._codes is None:
             self._consolidate()
-        return self._data
+            if self._data is not None:
+                return self._data
+        return self._decode()
 
     @property
     def valid(self):
@@ -133,13 +349,22 @@ class Column:
         return [int(value) for value in self._offsets]
 
     def _consolidate(self):
-        """Flatten all chunks into one contiguous (data, valid) pair.
+        """Flatten all chunks into one contiguous (data, valid) pair, or
+        dictionary chunks into one (codes, valid) pair.
 
         Counted: out-of-core paths are supposed to never reach this."""
         chunks = self._chunks
         if chunks is None:
             return
         note_consolidation(len(self))
+        coded = _flatten_coded(chunks)
+        if coded is not None:
+            # Dictionary chunks flatten to a coded column, not to strings
+            # (codes last: a concurrent reader that sees them sees all).
+            codes, self._valid, self._dictionary, self._lengths = coded
+            self._codes = codes
+            self._chunks = None
+            return
         parts = [chunk.materialize() for chunk in chunks]
         if len(parts) == 1:
             data = np.asarray(parts[0][0], dtype=self.type.numpy_dtype())
@@ -163,6 +388,9 @@ class Column:
         Shares buffers with this column; used by chunk-preserving concat."""
         if self._chunks is not None:
             return list(self._chunks)
+        if self._codes is not None:
+            return [DictChunk(self._codes, self._valid, self._dictionary,
+                              self._lengths)]
         return [ArrayChunk(self._data, self._valid)]
 
     def slice(self, lo, hi):
@@ -176,6 +404,8 @@ class Column:
         hi = min(int(hi), len(self))
         if hi < lo:
             hi = lo
+        if self._codes is not None:
+            return self._recoded(self._codes[lo:hi], self._valid[lo:hi])
         if self._chunks is None:
             return Column(self.type, self._data[lo:hi], self._valid[lo:hi])
         offsets = self._offsets
@@ -258,8 +488,8 @@ class Column:
             self.backing.release(lo, hi)
 
     def __len__(self):
-        if self._data is not None:
-            return len(self._data)
+        if self._chunks is None:
+            return len(self._valid)
         return int(self._offsets[-1])
 
     def __repr__(self):
@@ -312,19 +542,31 @@ class Column:
         data = np.full(count, value, dtype=sql_type.numpy_dtype())
         return cls(sql_type, data)
 
+    def _recoded(self, codes, valid):
+        return Column.from_codes(
+            codes, valid, self._dictionary, self._lengths
+        )
+
     def take(self, indices):
         """Gather rows by integer index array."""
+        if self._codes is not None:
+            return self._recoded(self._codes[indices], self._valid[indices])
         return Column(self.type, self.data[indices], self.valid[indices])
 
-    def mask(self, keep):
-        """Filter rows by boolean mask.
+    def mask(self, keep, indices=None):
+        """Filter rows by boolean mask (``indices``: its ``flatnonzero``,
+        when the caller masks several columns and already has it).
 
         On chunked storage the mask is applied chunk by chunk (the kept
         rows of each chunk become one in-RAM chunk), so filtering a
         disk-sized column materializes only its survivors.
         """
         if self._chunks is None:
-            return Column(self.type, self._data[keep], self._valid[keep])
+            # One flatnonzero plus a gather per array beats numpy's
+            # boolean indexing several times over at mid selectivity.
+            if indices is None:
+                indices = np.flatnonzero(keep)
+            return self.take(indices)
         keep = np.asarray(keep, dtype=np.bool_)
         parts = []
         for lo, hi, piece in self.iter_chunks():
@@ -343,6 +585,10 @@ class Column:
         return out
 
     def value_at(self, index):
+        if self._codes is not None:
+            if not self._valid[index]:
+                return None
+            return self._dictionary[self._codes[index]]
         if self._chunks is None:
             data, valid = self._data, self._valid
         else:
@@ -377,12 +623,10 @@ class Column:
         """
         if self._chunks is not None:
             return sum(chunk.nbytes(self.type) for chunk in self._chunks)
+        if self._codes is not None:
+            return coded_nbytes(self._codes, self._valid, self._lengths)
         if self.type is SQLType.VARCHAR:
-            total = 0
-            for value, ok in zip(self._data, self._valid):
-                if ok:
-                    total += len(value)
-            return total + len(self)  # +1 byte/row framing
+            return varchar_nbytes(self._data, self._valid)
         if self.type is SQLType.BOOLEAN:
             return len(self)
         return 8 * len(self)
@@ -526,11 +770,12 @@ class ColumnBatch:
         return out
 
     def mask(self, keep):
+        indices = np.flatnonzero(keep)
         out = ColumnBatch()
         for name, column in self.columns.items():
-            out.add_column(name, column.mask(keep))
+            out.add_column(name, column.mask(keep, indices))
         if not self.columns:
-            out._num_rows = int(np.count_nonzero(keep))
+            out._num_rows = len(indices)
         return out
 
     def select(self, names):
@@ -641,14 +886,7 @@ def concat_batches(batches, chunked=False):
                 chunks.extend(part.storage_chunks())
             out.add_column(name, Column.from_chunks(target, chunks))
         else:
-            out.add_column(
-                name,
-                Column(
-                    target,
-                    np.concatenate([part.data for part in parts]),
-                    np.concatenate([part.valid for part in parts]),
-                ),
-            )
+            out.add_column(name, concat_columns(parts))
     if not first.column_names:
         out._num_rows = sum(batch.num_rows for batch in batches)
     return out

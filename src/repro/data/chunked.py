@@ -72,6 +72,27 @@ def consolidation_count():
         return _CONSOLIDATIONS
 
 
+def varchar_nbytes(data, valid):
+    """Wire/cache size of plain VARCHAR rows: the string lengths of the
+    valid rows plus one framing byte per row."""
+    valid = np.asarray(valid, dtype=np.bool_)
+    values = data.tolist() if valid.all() else data[valid].tolist()
+    return sum(map(len, values)) + len(data)
+
+
+def coded_nbytes(codes, valid, lengths):
+    """Same total as :func:`varchar_nbytes` for dictionary-coded rows,
+    read from the dictionary's length table without decoding."""
+    codes = np.asarray(codes)
+    valid = np.asarray(valid, dtype=np.bool_)
+    if not len(lengths):
+        return len(codes)
+    if not valid.all():
+        codes = codes[valid]
+    counts = np.bincount(codes, minlength=len(lengths))
+    return int(np.dot(counts, lengths)) + len(valid)
+
+
 class ArrayChunk:
     """One stretch of rows as a (data, valid) numpy array pair."""
 
@@ -96,11 +117,7 @@ class ArrayChunk:
         from repro.data.types import SQLType
 
         if sql_type is SQLType.VARCHAR:
-            total = 0
-            for value, ok in zip(self.data, self.valid):
-                if ok:
-                    total += len(value)
-            return total + len(self.data)  # +1 byte/row framing
+            return varchar_nbytes(self.data, self.valid)
         if sql_type is SQLType.BOOLEAN:
             return len(self.data)
         return 8 * len(self.data)
@@ -153,10 +170,4 @@ class DictChunk:
         )
 
     def nbytes(self, sql_type):
-        codes = np.asarray(self.codes, dtype=np.int64)
-        valid = np.asarray(self.valid, dtype=np.bool_)
-        if len(self.dictionary):
-            total = int(self.lengths[codes[valid]].sum())
-        else:
-            total = 0
-        return total + len(codes)  # +1 byte/row framing
+        return coded_nbytes(self.codes, self.valid, self.lengths)

@@ -4,8 +4,8 @@ Both execution substrates — the client dataflow's columnar transforms
 (:mod:`repro.dataflow.transforms`) and the embedded engine's morsel
 executor (:mod:`repro.engine.parallel`) — reduce values per dense group
 id.  These kernels implement the shared segmented-reduction idiom
-(stable argsort by group, ``reduceat`` at segment starts) once, over
-plain numpy arrays, so the two layers cannot drift apart.
+(``bincount`` and ``ufunc.at`` scatter passes over the group ids) once,
+over plain numpy arrays, so the two layers cannot drift apart.
 
 All kernels take ``(data, gid, n_groups, valid)`` where ``gid`` assigns
 each row a dense group id in ``[0, n_groups)`` and ``valid`` masks the
@@ -52,37 +52,37 @@ def grouped_minmax(data, gid, n_groups, valid, reducer):
     """Per-group min/max over the valid slots; groups with no valid value
     come back with ``present=False``.
 
-    ``reducer`` is ``np.minimum`` or ``np.maximum``.  Object (string)
-    arrays take a per-segment Python reduction — ufunc ``reduceat`` on
-    object dtype is not dependable.
+    ``reducer`` is ``np.minimum`` or ``np.maximum``.  Numeric arrays
+    reduce in one unordered scatter pass (``reducer.at``); object
+    (string) arrays take a stable sort by group and a per-segment Python
+    reduction — ufuncs over object dtype are not dependable.
 
     Returns ``(out_data, present)``.
     """
-    selected = np.flatnonzero(valid) if valid is not None \
-        else np.arange(len(gid))
+    if valid is not None:
+        gid = gid[valid]
+        data = data[valid]
     present = np.zeros(n_groups, dtype=np.bool_)
+    present[gid] = True
     out_data = np.empty(n_groups, dtype=data.dtype)
     if data.dtype != np.object_:
+        # Seed every occurring group with one of its own values (any:
+        # min/max do not care which), then fold the rest in.
         out_data[:] = 0
-    if selected.size == 0:
+        out_data[gid] = data
+        reducer.at(out_data, gid, data)
         return out_data, present
-    group_of = gid[selected]
-    order = np.argsort(group_of, kind="stable")
-    sorted_groups = group_of[order]
-    sorted_values = data[selected][order]
+    if gid.size == 0:
+        return out_data, present
+    order = np.argsort(gid, kind="stable")
+    sorted_groups = gid[order]
+    sorted_values = data[order]
     starts = np.flatnonzero(
         np.r_[True, sorted_groups[1:] != sorted_groups[:-1]])
-    if data.dtype == np.object_:
-        bounds = list(starts) + [len(sorted_values)]
-        python_reducer = min if reducer is np.minimum else max
-        results = np.array(
-            [python_reducer(sorted_values[a:b])
-             for a, b in zip(bounds, bounds[1:])],
-            dtype=object,
-        )
-    else:
-        results = reducer.reduceat(sorted_values, starts)
-    hit = sorted_groups[starts]
-    out_data[hit] = results
-    present[hit] = True
+    bounds = list(starts) + [len(sorted_values)]
+    python_reducer = min if reducer is np.minimum else max
+    out_data[sorted_groups[starts]] = [
+        python_reducer(sorted_values[a:b])
+        for a, b in zip(bounds, bounds[1:])
+    ]
     return out_data, present

@@ -1,6 +1,12 @@
 """Embedded columnar SQL engine (the reproduction's DBMS substrate)."""
 
-from repro.engine.catalog import Catalog, ColumnStats, TableStats, compute_stats
+from repro.engine.catalog import (
+    Catalog,
+    ColumnStats,
+    TableStats,
+    append_stats,
+    compute_stats,
+)
 from repro.engine.database import Database
 from repro.engine.errors import (
     CatalogError,
@@ -33,6 +39,7 @@ __all__ = [
     "Table",
     "TableStats",
     "TypeMismatchError",
+    "append_stats",
     "compute_stats",
     "concat_tables",
     "resolve_morsel_rows",

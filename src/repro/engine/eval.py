@@ -20,17 +20,24 @@ from repro.engine.types import SQLType
 
 
 class Frame:
-    """An ordered collection of possibly-qualified columns of equal length."""
+    """An ordered collection of possibly-qualified columns of equal length.
 
-    __slots__ = ("entries", "num_rows")
+    A frame made by :meth:`mask` is *late-materialised*: it keeps its
+    source's columns and the surviving row indices, and filters a column
+    the first time it is resolved (or all of them when ``entries`` is
+    read), so columns nothing above a Filter reads are never copied.
+    """
+
+    __slots__ = ("_entries", "num_rows", "_keep", "_indices", "_filtered")
 
     def __init__(self, entries, num_rows=None):
-        self.entries = list(entries)
+        self._entries = list(entries)
         if num_rows is None:
-            if not self.entries:
+            if not self._entries:
                 raise ExecutionError("empty frame requires explicit num_rows")
-            num_rows = len(self.entries[0][2])
+            num_rows = len(self._entries[0][2])
         self.num_rows = num_rows
+        self._keep = None
 
     @classmethod
     def from_table(cls, table, qualifier=None):
@@ -39,10 +46,31 @@ class Frame:
         ]
         return cls(entries, num_rows=table.num_rows)
 
+    def _column(self, position):
+        column = self._entries[position][2]
+        if self._keep is None:
+            return column
+        # Per-slot cache, filled idempotently: morsel tasks sharing one
+        # frame may race here and only ever duplicate work.
+        filtered = self._filtered[position]
+        if filtered is None:
+            filtered = column.mask(self._keep, self._indices)
+            self._filtered[position] = filtered
+        return filtered
+
+    @property
+    def entries(self):
+        if self._keep is None:
+            return self._entries
+        return [
+            (qualifier, name, self._column(position))
+            for position, (qualifier, name, _) in enumerate(self._entries)
+        ]
+
     def resolve(self, name, qualifier=None):
         matches = [
-            column
-            for q, n, column in self.entries
+            position
+            for position, (q, n, _) in enumerate(self._entries)
             if n == name and (qualifier is None or q == qualifier)
         ]
         if not matches:
@@ -53,10 +81,10 @@ class Frame:
             )
         if len(matches) > 1:
             raise PlanError("ambiguous column reference {!r}".format(name))
-        return matches[0]
+        return self._column(matches[0])
 
     def names(self):
-        return [name for _, name, _ in self.entries]
+        return [name for _, name, _ in self._entries]
 
     def to_table(self):
         """Collapse to a Table; duplicate names get positional suffixes."""
@@ -69,7 +97,7 @@ class Frame:
             else:
                 seen[name] = 0
             table.add_column(name, column)
-        if not self.entries:
+        if not self._entries:
             table._num_rows = self.num_rows
         return table
 
@@ -80,8 +108,12 @@ class Frame:
         return Frame(entries, num_rows=len(indices))
 
     def mask(self, keep):
-        entries = [(q, n, column.mask(keep)) for q, n, column in self.entries]
-        return Frame(entries, num_rows=int(np.count_nonzero(keep)))
+        indices = np.flatnonzero(keep)
+        frame = Frame(self.entries, num_rows=len(indices))
+        frame._keep = keep
+        frame._indices = indices
+        frame._filtered = [None] * len(frame._entries)
+        return frame
 
 
 _NUMERIC_OPS = {"+", "-", "*", "/", "%"}

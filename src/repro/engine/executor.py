@@ -3,7 +3,7 @@
 ``execute(plan, catalog)`` interprets a logical plan tree and returns a
 :class:`~repro.engine.table.Table`.  Execution is vectorized over numpy
 columns; grouping, windows, sorts, and joins factorize key columns into
-integer codes first.
+integer codes first, with the kernels of :mod:`repro.engine.kernels`.
 """
 
 import numpy as np
@@ -12,6 +12,15 @@ from repro.engine import sqlast
 from repro.engine.errors import ExecutionError, PlanError
 from repro.engine.eval import Frame, evaluate, predicate_mask
 from repro.engine.functions import aggregate_function
+from repro.engine.kernels import (
+    aggregate_states,
+    factorize_column,
+    factorize_rows,
+    factorize_rows_first,
+    group_row_indices,
+    partial_kind,
+    state_column,
+)
 from repro.engine.logical import (
     Aggregate,
     Derived,
@@ -24,7 +33,7 @@ from repro.engine.logical import (
     Sort,
     Window,
 )
-from repro.engine.table import Column, Table
+from repro.engine.table import Column, Table, concat_columns
 from repro.engine.types import SQLType
 
 
@@ -211,95 +220,6 @@ def apply_limit(plan, child):
 
 
 # --------------------------------------------------------------------------
-# Factorization helpers
-# --------------------------------------------------------------------------
-
-
-def factorize_column(column):
-    """Map a column to dense integer codes; NULL gets its own code."""
-    if len(column) == 0:
-        return np.zeros(0, dtype=np.int64), 0
-    valid_values = column.data[column.valid]
-    if len(valid_values) == 0:
-        return np.zeros(len(column), dtype=np.int64), 1
-    uniques = np.unique(valid_values)
-    codes = np.searchsorted(uniques, column.data)
-    # searchsorted on placeholder values of invalid rows can exceed range;
-    # clamp, then overwrite invalid rows with the dedicated NULL code.
-    codes = np.clip(codes, 0, len(uniques) - 1).astype(np.int64)
-    # Placeholder values may accidentally equal a real value; that is fine
-    # because the NULL code below overrides them.
-    codes = np.where(column.valid, codes, np.int64(len(uniques)))
-    count = len(uniques) + (0 if column.valid.all() else 1)
-    return codes, count
-
-
-def factorize_rows(columns, num_rows):
-    """Dense row-group ids over multiple key columns (empty -> one group)."""
-    if not columns:
-        return np.zeros(num_rows, dtype=np.int64), 1 if num_rows else 0
-    combined = None
-    for column in columns:
-        codes, count = factorize_column(column)
-        if combined is None:
-            combined = codes
-        else:
-            combined = combined * np.int64(max(count, 1)) + codes
-    uniques, inverse = np.unique(combined, return_inverse=True)
-    return inverse.astype(np.int64), len(uniques)
-
-
-def first_occurrences(group_ids, group_count):
-    """Index of the first row of each group, in group-id order."""
-    first = np.full(group_count, -1, dtype=np.int64)
-    if len(group_ids) == 0:
-        return first
-    order = np.argsort(group_ids, kind="stable")
-    sorted_ids = group_ids[order]
-    starts = np.flatnonzero(np.r_[True, np.diff(sorted_ids) > 0])
-    first[sorted_ids[starts]] = order[starts]
-    return first
-
-
-def factorize_rows_first(columns, num_rows):
-    """Like :func:`factorize_rows`, but also returns each group's first
-    occurrence row index (in group-id order) from the same ``np.unique``
-    pass — one full-table argsort cheaper than a separate
-    :func:`first_occurrences` call."""
-    if not columns:
-        if num_rows:
-            return (
-                np.zeros(num_rows, dtype=np.int64),
-                1,
-                np.zeros(1, dtype=np.int64),
-            )
-        return (
-            np.zeros(0, dtype=np.int64),
-            0,
-            np.zeros(0, dtype=np.int64),
-        )
-    combined = None
-    for column in columns:
-        codes, count = factorize_column(column)
-        if combined is None:
-            combined = codes
-        else:
-            combined = combined * np.int64(max(count, 1)) + codes
-    uniques, first, inverse = np.unique(
-        combined, return_index=True, return_inverse=True
-    )
-    return inverse.astype(np.int64), len(uniques), first.astype(np.int64)
-
-
-def group_row_indices(group_ids, group_count):
-    """List of index arrays, one per group id."""
-    order = np.argsort(group_ids, kind="stable")
-    sorted_ids = group_ids[order]
-    boundaries = np.flatnonzero(np.diff(sorted_ids)) + 1
-    return [np.asarray(chunk) for chunk in np.split(order, boundaries)], order
-
-
-# --------------------------------------------------------------------------
 # Aggregate
 # --------------------------------------------------------------------------
 
@@ -311,14 +231,29 @@ def apply_aggregate(plan, child):
     if early is not None:
         return early
 
-    groups = _aggregate_groups(child, group_ids, group_count)
-
     entries = []
     for column, (_, name) in zip(key_columns, plan.groups):
         entries.append((None, name, column.take(first)))
 
+    groups = None
     for call, name in plan.aggregates:
-        entries.append((None, name, _compute_aggregate(call, child, groups)))
+        fn, arg_column, result_type = _aggregate_inputs(call, child)
+        kind = partial_kind(call)
+        if kind in ("sum", "avg") and arg_column.type is SQLType.VARCHAR:
+            kind = None  # the per-group function raises what it always did
+        if kind is not None:
+            state = aggregate_states(kind, arg_column, group_ids, group_count)
+            column = state_column(kind, state, result_type)
+        else:
+            # MEDIAN / QUANTILE / STDDEV / VARIANCE / COUNT(DISTINCT) need
+            # each group's values side by side: no mergeable partial state.
+            if groups is None:
+                groups = _aggregate_groups(child, group_ids, group_count)
+            column = Column.from_values(
+                [fn(arg_column.take(indices)) for indices in groups],
+                result_type,
+            )
+        entries.append((None, name, column))
 
     return Frame(entries, num_rows=group_count)
 
@@ -363,7 +298,7 @@ def _aggregate_groups(child, group_ids, group_count):
     """Per-group row-index arrays in group-id order."""
     if child.num_rows == 0:
         return [np.zeros(0, dtype=np.int64)] * group_count
-    groups, _ = group_row_indices(group_ids, group_count)
+    groups = group_row_indices(group_ids)
     if len(groups) != group_count:
         raise ExecutionError("internal grouping inconsistency")
     return groups
@@ -404,14 +339,6 @@ def _aggregate_inputs(call, frame):
     return fn, arg_column, result_type
 
 
-def _compute_aggregate(call, frame, groups):
-    fn, arg_column, result_type = _aggregate_inputs(call, frame)
-    values = []
-    for indices in groups:
-        values.append(fn(arg_column.take(indices)))
-    return Column.from_values(values, result_type)
-
-
 # --------------------------------------------------------------------------
 # Window
 # --------------------------------------------------------------------------
@@ -440,11 +367,8 @@ def window_inputs(window, frame):
     """
     num_rows = frame.num_rows
     partition_columns = [evaluate(expr, frame) for expr in window.partition_by]
-    group_ids, group_count = factorize_rows(partition_columns, num_rows)
-    if num_rows == 0:
-        groups = []
-    else:
-        groups, _ = group_row_indices(group_ids, max(group_count, 1))
+    group_ids, _ = factorize_rows(partition_columns, num_rows)
+    groups = group_row_indices(group_ids) if num_rows else []
 
     order_keys = [
         (evaluate(item.expr, frame), item.descending, item.nulls_first)
@@ -746,9 +670,7 @@ def apply_join(plan, left, right):
 def _concat_frames(first, second):
     entries = []
     for (q1, n1, c1), (q2, n2, c2) in zip(first.entries, second.entries):
-        data = np.concatenate([c1.data, c2.data])
-        valid = np.concatenate([c1.valid, c2.valid])
-        entries.append((q1, n1, Column(c1.type, data, valid)))
+        entries.append((q1, n1, concat_columns([c1, c2])))
     return Frame(entries, num_rows=first.num_rows + second.num_rows)
 
 

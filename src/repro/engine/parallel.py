@@ -12,11 +12,11 @@ answer canonically identical to the serial path:
   concatenated in morsel order, so row order is bit-identical to serial.
   Adjacent Filter/Project nodes fuse into one morsel pipeline (no
   intermediate materialization) outside of EXPLAIN ANALYZE.
-* **Aggregate** — two-phase hash aggregation: each morsel factorizes its
-  own group keys locally (one ``np.unique`` pass over small code arrays)
-  and reduces partial states with ``bincount``/segmented kernels from
-  :mod:`repro.data.grouping`; the merge re-factorizes the concatenated
-  local key rows.  Group order equals the serial path because
+* **Aggregate** — two-phase hash aggregation with the serial executor's
+  own kernels (:mod:`repro.engine.kernels`): each morsel factorizes its
+  group keys locally and reduces them to partial states; the merge
+  re-factorizes the concatenated local key rows and merges the states.
+  Group order equals the serial path because
   factorization order depends only on the distinct key values, and each
   group's key bytes come from its globally first row.  Floating-point
   SUM/AVG may differ from serial in the last bits (summation order);
@@ -63,7 +63,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.data.grouping import grouped_minmax
 from repro.engine.errors import ExecutionError, PlanError
 from repro.engine.eval import Frame, evaluate
 from repro.engine.executor import (
@@ -82,10 +81,17 @@ from repro.engine.executor import (
     apply_scan,
     apply_sort,
     apply_window,
-    factorize_column,
-    factorize_rows_first,
     window_inputs,
     window_partition_kernel,
+)
+from repro.engine.kernels import (
+    MAX_CODE_WIDTH,
+    aggregate_states,
+    factorize_column,
+    factorize_rows_first,
+    merge_states,
+    partial_kind,
+    state_column,
 )
 from repro.engine.logical import (
     Aggregate,
@@ -99,8 +105,7 @@ from repro.engine.logical import (
     Sort,
     Window,
 )
-from repro.engine.sqlast import Star
-from repro.engine.table import Column
+from repro.engine.table import Column, concat_columns
 from repro.engine.types import SQLType
 
 #: default rows per morsel; override with ``REPRO_MORSEL_ROWS``
@@ -108,11 +113,6 @@ DEFAULT_MORSEL_ROWS = 65536
 
 THREADS_ENV = "REPRO_THREADS"
 MORSEL_ENV = "REPRO_MORSEL_ROWS"
-
-#: composite integer codes (sort orders, join keys) must stay inside
-#: int64; wider key spaces fall back to the serial operator
-_MAX_CODE_WIDTH = 2 ** 62
-
 
 class SerialFallback(Exception):
     """A parallel kernel declined this input; run the serial applier.
@@ -224,22 +224,13 @@ def concat_frame_parts(parts):
     if len(parts) == 1:
         return parts[0]
     num_rows = sum(part.num_rows for part in parts)
-    entries = []
-    for index, (qualifier, name, column) in enumerate(parts[0].entries):
-        data = np.concatenate([part.entries[index][2].data for part in parts])
-        valid = np.concatenate([part.entries[index][2].valid for part in parts])
-        entries.append((qualifier, name, Column(column.type, data, valid)))
+    columns = zip(*[[column for _, _, column in part.entries]
+                    for part in parts])
+    entries = [
+        (qualifier, name, concat_columns(pieces))
+        for (qualifier, name, _), pieces in zip(parts[0].entries, columns)
+    ]
     return Frame(entries, num_rows=num_rows)
-
-
-def _concat_columns(columns):
-    if len(columns) == 1:
-        return columns[0]
-    return Column(
-        columns[0].type,
-        np.concatenate([column.data for column in columns]),
-        np.concatenate([column.valid for column in columns]),
-    )
 
 
 def _apply_chain(frame, ops):
@@ -250,103 +241,6 @@ def _apply_chain(frame, ops):
         else:
             frame = apply_project(op, frame)
     return frame
-
-
-# --------------------------------------------------------------------------
-# Decomposable aggregate partial states
-# --------------------------------------------------------------------------
-
-#: aggregate call -> partial-state kind, or None when not decomposable
-_DECOMPOSABLE = {"SUM": "sum", "AVG": "avg", "MIN": "min", "MAX": "max"}
-
-
-def partial_kind(call):
-    """Partial-state kind for a decomposable aggregate call, else None."""
-    if call.distinct:
-        return None
-    name = call.name.upper()
-    if name == "COUNT":
-        star = len(call.args) == 1 and isinstance(call.args[0], Star)
-        return "count_star" if star else "count"
-    return _DECOMPOSABLE.get(name)
-
-
-def _local_aggregate(kind, arg_column, group_ids, group_count):
-    """Per-morsel partial state aligned to the morsel's local group ids.
-
-    count kinds -> ``(counts,)``; sum/avg -> ``(sums, counts)``;
-    min/max -> ``(values, present)``.  NaN flows through sums and
-    extremes exactly like the serial kernels (it later folds to NULL in
-    ``Column.from_values``).
-    """
-    if kind == "count_star":
-        counts = np.bincount(group_ids, minlength=group_count)
-        return (counts.astype(np.float64),)
-    valid = arg_column.valid
-    if kind == "count":
-        counts = np.bincount(group_ids[valid], minlength=group_count)
-        return (counts.astype(np.float64),)
-    data = arg_column.data
-    if kind in ("sum", "avg"):
-        weights = data[valid]
-        if weights.dtype != np.float64:
-            weights = weights.astype(np.float64)
-        sums = np.bincount(
-            group_ids[valid], weights=weights, minlength=group_count
-        )
-        counts = np.bincount(group_ids[valid], minlength=group_count)
-        return (sums, counts.astype(np.float64))
-    reducer = np.minimum if kind == "min" else np.maximum
-    values, present = grouped_minmax(
-        data, group_ids, group_count, valid, reducer
-    )
-    return (values, present)
-
-
-def _merge_states(kind, states, group_ids, group_count):
-    """Merge concatenated per-morsel partial states into final per-group
-    python values (None for groups with no valid input), matching the
-    serial aggregate kernels.  ``group_ids`` maps each concatenated
-    local-group row to its global group."""
-    if kind in ("count", "count_star"):
-        totals = np.bincount(
-            group_ids,
-            weights=np.concatenate([state[0] for state in states]),
-            minlength=group_count,
-        )
-        return [float(total) for total in totals]
-    if kind in ("sum", "avg"):
-        sums = np.bincount(
-            group_ids,
-            weights=np.concatenate([state[0] for state in states]),
-            minlength=group_count,
-        )
-        counts = np.bincount(
-            group_ids,
-            weights=np.concatenate([state[1] for state in states]),
-            minlength=group_count,
-        )
-        if kind == "sum":
-            return [
-                float(total) if count else None
-                for total, count in zip(sums, counts)
-            ]
-        return [
-            float(total / count) if count else None
-            for total, count in zip(sums, counts)
-        ]
-    reducer = np.minimum if kind == "min" else np.maximum
-    values, present = grouped_minmax(
-        np.concatenate([state[0] for state in states]),
-        group_ids,
-        group_count,
-        np.concatenate([state[1] for state in states]),
-        reducer,
-    )
-    return [
-        (value if isinstance(value, str) else float(value)) if ok else None
-        for value, ok in zip(values, present)
-    ]
 
 
 # --------------------------------------------------------------------------
@@ -385,7 +279,7 @@ def _order_codes(plan, table):
             code = np.where(column.valid, value_code, np.int64(len(uniques)))
         cardinality = len(uniques) + 1
         width *= cardinality
-        if width > _MAX_CODE_WIDTH:
+        if width > MAX_CODE_WIDTH:
             raise SerialFallback("sort_key_width")
         combined = combined * np.int64(cardinality) + code
     return combined
@@ -415,7 +309,7 @@ def _join_codes(left_keys, right_keys, left_rows, right_rows):
         right_code = np.searchsorted(uniques, right_values).astype(np.int64)
         cardinality = max(len(uniques), 1)
         width *= cardinality
-        if width > _MAX_CODE_WIDTH:
+        if width > MAX_CODE_WIDTH:
             raise SerialFallback("join_key_width")
         left_combined = left_combined * np.int64(cardinality) + left_code
         right_combined = right_combined * np.int64(cardinality) + right_code
@@ -693,7 +587,7 @@ class _ParallelRun:
             for kind, (call, _) in zip(kinds, plan.aggregates):
                 _, arg_column, _ = _aggregate_inputs(call, frame)
                 states.append(
-                    _local_aggregate(kind, arg_column, group_ids, group_count)
+                    aggregate_states(kind, arg_column, group_ids, group_count)
                 )
             # Partial states and gathered keys are copies, so the morsel's
             # source pages can be dropped: this is what keeps a streaming
@@ -748,7 +642,7 @@ class _ParallelRun:
         key bytes match the serial output exactly.
         """
         cat_keys = [
-            _concat_columns([part[0][position] for part in parts])
+            concat_columns([part[0][position] for part in parts])
             for position in range(len(plan.groups))
         ]
         total = sum(part[2] for part in parts)
@@ -760,11 +654,11 @@ class _ParallelRun:
         for position, ((_, name), kind, result_type) in enumerate(
             zip(plan.aggregates, kinds, result_types)
         ):
-            states = [part[1][position] for part in parts]
-            values = _merge_states(kind, states, group_ids, group_count)
-            entries.append(
-                (None, name, Column.from_values(values, result_type))
+            state = merge_states(
+                kind, [part[1][position] for part in parts],
+                group_ids, group_count,
             )
+            entries.append((None, name, state_column(kind, state, result_type)))
         return Frame(entries, num_rows=group_count)
 
     # -- sort --------------------------------------------------------------

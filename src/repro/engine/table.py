@@ -11,7 +11,15 @@ from repro.data.batch import (
     ColumnBatch,
     Table,
     concat_batches,
+    concat_columns,
     concat_tables,
 )
 
-__all__ = ["Column", "ColumnBatch", "Table", "concat_batches", "concat_tables"]
+__all__ = [
+    "Column",
+    "ColumnBatch",
+    "Table",
+    "concat_batches",
+    "concat_columns",
+    "concat_tables",
+]

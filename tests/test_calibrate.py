@@ -5,7 +5,9 @@ from repro.planner import calibrate
 from repro.planner.calibrate import (
     measure_client_row_cost,
     measure_server_costs,
+    refit_from_report,
 )
+from repro.planner.costmodel import CostParameters
 
 
 class TestCalibration:
@@ -50,3 +52,24 @@ class TestCalibration:
         )
         plan = session.optimize()
         assert plan.datasets["binned"].cut == 3
+
+
+class TestParallelEfficiencyRefit:
+    class _NoAudit:
+        def median_ratio(self, kind):
+            return None
+
+    def refit(self, speedup, workers=4):
+        base = CostParameters(server_workers=workers)
+        return refit_from_report(
+            self._NoAudit(), base, parallel_speedup=speedup
+        ).parallel_efficiency
+
+    def test_superlinear_speedup_clamps_to_one(self):
+        # BENCH_parallel.json's 7.05x at 4 workers inverts to 2.01
+        assert self.refit(7.05) == 1.0
+        assert self.refit(4.0) == 1.0
+
+    def test_sublinear_speedup_is_kept(self):
+        assert self.refit(2.5) == 0.5
+        assert self.refit(0.5) == 0.05

@@ -1,5 +1,6 @@
 """Execution tests: SELECT semantics end-to-end through the Database."""
 
+import numpy as np
 import pytest
 
 from repro.engine import Database, ExecutionError, PlanError, Table
@@ -181,6 +182,42 @@ class TestAggregation:
             db, "SELECT SUM(amount) / COUNT(amount) AS mean FROM sales"
         )
         assert result == [{"mean": 34.0}]
+
+    def test_wide_group_keys_do_not_wrap_around_int64(self):
+        """Four key columns of 70 000 distinct values each: the
+        mixed-radix group code needs 65 bits.  Unguarded, rows
+        (0, 0, 21292, 8384) and (53780, 41648, 0, 0) get one group id,
+        because 53780 C^3 + 41648 C^2 - 21292 C - 8384 = 0 mod 2^64 for
+        C = 70000."""
+        table = wraparound_table()
+        database = Database()
+        database.load_table("t", table)
+        result = database.execute(
+            "SELECT a, b, c, d, COUNT(*) AS n FROM t GROUP BY a, b, c, d"
+        )
+        assert result.num_rows == table.num_rows
+        assert set(result.column("n").data.tolist()) == {1.0}
+        keys = set(zip(*[result.column(k).data.tolist() for k in "abcd"]))
+        assert {(0.0, 0.0, 21292.0, 8384.0),
+                (53780.0, 41648.0, 0.0, 0.0)} <= keys
+
+
+def wraparound_table(size=70000):
+    """``size`` rows with pairwise distinct keys, every column a
+    permutation of ``0..size-1``, holding the two colliding rows."""
+    columns = [np.arange(size, dtype=np.float64) for _ in range(4)]
+
+    def place(column, row, value):
+        other = int(np.flatnonzero(column == value)[0])
+        column[row], column[other] = column[other], column[row]
+
+    for row, key in ((0, (0, 0, 21292, 8384)),
+                     (53780, (53780, 41648, 0, 0))):
+        for column, value in zip(columns, key):
+            place(column, row, float(value))
+    return Table.from_columns(**{
+        name: column.tolist() for name, column in zip("abcd", columns)
+    })
 
 
 class TestWindow:

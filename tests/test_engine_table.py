@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data import ArrayChunk, DictChunk
 from repro.engine.errors import CatalogError, TypeMismatchError
 from repro.engine.table import Column, Table, concat_tables
 from repro.engine.types import SQLType, infer_type
@@ -70,6 +71,105 @@ class TestColumn:
     def test_nbytes_varchar_counts_content(self):
         column = Column.from_values(["ab", "cdef"])
         assert column.nbytes() == 6 + 2
+
+    def test_nbytes_varchar_is_the_same_in_every_layout(self):
+        """The cache's byte budget and the virtual network charge read
+        these totals: a loop over the rows (the definition), the plain
+        column, the coded column and the chunked layouts must agree —
+        with NULLs, empty strings and non-ASCII text in the way."""
+        values = ["", None, "añb", "añb", "日本語", None, "x", ""] * 5
+        expected = sum(len(v) for v in values if v is not None) + len(values)
+        plain = Column.from_values(values)
+        coded = Column.from_values(values)
+        coded.encode()
+        assert coded.codes is not None and plain.codes is None
+        spilled = ArrayChunk(plain.data, plain.valid).nbytes(SQLType.VARCHAR)
+        for column in (plain, coded, plain.rechunk(3), coded.slice(0, 40),
+                       Column.from_chunks(
+                           SQLType.VARCHAR, coded.storage_chunks() * 2
+                       ).slice(40, 80)):
+            assert column.nbytes() == expected == spilled
+        assert coded.take(np.array([1, 2, 4])).nbytes() == 3 + 3 + 3
+        assert Column.nulls(SQLType.VARCHAR, 4).nbytes() == 4
+
+
+class TestDictionaryCoding:
+    VALUES = ["b", None, "a", "", "b", "a", None, "b", "c", "a"]
+
+    def coded(self):
+        column = Column.from_values(self.VALUES)
+        column.encode()
+        return column
+
+    def test_encode_keeps_the_rows_and_sorts_the_dictionary(self):
+        column = self.coded()
+        assert column.dictionary.tolist() == ["", "a", "b", "c"]
+        assert column.codes.dtype == np.int32
+        assert column.to_list() == self.VALUES
+        assert column.data.tolist() == [v or "" for v in self.VALUES]
+        assert column.null_count() == 2
+        assert [column.value_at(i) for i in range(10)] == self.VALUES
+
+    def test_high_cardinality_stays_plain(self):
+        # a dictionary of half the rows or more is not worth its codes
+        column = Column.from_values(["a", "b", "a", "b"])
+        column.encode()
+        assert column.codes is None
+        for other in (Column.from_values([1.0, 1.0, 1.0]),
+                      Column.nulls(SQLType.VARCHAR, 8),
+                      Column.from_values(self.VALUES).rechunk(4)):
+            other.encode()
+            assert other.codes is None
+
+    def test_take_mask_slice_keep_the_coding(self):
+        column = self.coded()
+        keep = np.array([v is not None for v in self.VALUES])
+        for derived, expected in (
+            (column.take(np.array([9, 0, 1])), ["a", "b", None]),
+            (column.mask(keep), [v for v in self.VALUES if v is not None]),
+            (column.slice(2, 5), self.VALUES[2:5]),
+        ):
+            assert derived.dictionary is column.dictionary
+            assert derived.to_list() == expected
+
+    def test_concat_merges_dictionaries(self):
+        column = self.coded()
+        fresh = Column.from_values(["zz", "a", None, "0"])
+        merged = concat_tables([
+            Table({"s": column}), Table({"s": fresh}), Table({"s": column}),
+        ]).column("s")
+        assert merged.dictionary.tolist() == ["", "0", "a", "b", "c", "zz"]
+        assert merged.to_list() == self.VALUES + ["zz", "a", None, "0"] \
+            + self.VALUES
+        # too many new values for the rows there are: plain again
+        wide = Column.from_values(["n{}".format(i) for i in range(10)])
+        plain = concat_tables(
+            [Table({"s": column}), Table({"s": wide})]).column("s")
+        assert plain.codes is None
+        assert plain.to_list() == self.VALUES + wide.to_list()
+
+    def test_dictionary_chunks_consolidate_to_codes(self):
+        """A spilled VARCHAR column (dictionary chunks, dictionary in
+        insertion order) flattens to a coded column — sorted dictionary,
+        remapped codes, no string per row — with the rows unchanged."""
+        unsorted = np.array(["b", "", "c", "a"], dtype=object)
+        codes = np.array([0, 0, 3, 1, 0, 3, 0, 0, 2, 3], dtype=np.int32)
+        valid = np.array([v is not None for v in self.VALUES])
+        chunks = [DictChunk(codes[:4], valid[:4], unsorted),
+                  DictChunk(codes[4:], valid[4:], unsorted)]
+        column = Column.from_chunks(SQLType.VARCHAR, chunks)
+        assert column.to_list() == self.VALUES
+        assert column.data.tolist() == [v or "" for v in self.VALUES]
+        assert column.dictionary.tolist() == ["", "a", "b", "c"]
+        assert column.to_list() == self.VALUES
+        assert column.chunk_offsets() == [0, 4, 10]
+        assert column.nbytes() == self.coded().nbytes()
+        # one entry per two rows or more: strings, as encode() decides
+        short = Column.from_chunks(SQLType.VARCHAR, [
+            DictChunk(codes[:3], valid[:3], unsorted),
+            DictChunk(codes[3:6], valid[3:6], unsorted)])
+        assert short.data.tolist() == [v or "" for v in self.VALUES[:6]]
+        assert short.codes is None
 
 
 class TestTable:

@@ -656,6 +656,17 @@ class TestRegressGate:
                                    rules=self.rules())
         assert any(f.check == "presence" and not f.ok for f in findings)
 
+    def test_floor_applies_to_metric_the_baseline_predates(self):
+        rules = [Rule("queries.*.serial_fallbacks.*", "lower", ratio=None,
+                      floor=0)]
+        for count, ok in ((0, True), (1, False)):
+            current = self.current(8.0, 12.0)
+            current["results"]["queries"]["aggregate"][
+                "serial_fallbacks"] = {"workers4": count}
+            findings = compare_records("parallel", self.BASE, current,
+                                       rules=rules)
+            assert [(f.check, f.ok) for f in findings] == [("floor", ok)]
+
     def test_repo_baselines_pass_against_themselves(self):
         from repro.metrics.regress import run
 

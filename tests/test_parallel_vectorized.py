@@ -147,6 +147,24 @@ def test_high_cardinality_every_row_its_own_group():
     )
 
 
+def test_wide_group_keys_do_not_wrap_around_int64():
+    """Parallel twin of the serial regression in test_engine_executor:
+    four key columns of 70 000 distinct values each overflow the
+    mixed-radix group code in the merge's re-factorization, which used
+    to hand rows (0, 0, 21292, 8384) and (53780, 41648, 0, 0) one id."""
+    from test_engine_executor import wraparound_table
+
+    size = 70000
+    parallel = Database(parallelism=2, morsel_rows=8192)
+    parallel.load_table("t", wraparound_table(size))
+    result = parallel.execute(
+        'SELECT "a", "b", "c", "d", COUNT(*) AS n FROM "t" '
+        'GROUP BY "a", "b", "c", "d"'
+    )
+    assert result.num_rows == size
+    assert set(result.column("n").data.tolist()) == {1.0}
+
+
 def test_single_group_key():
     num_rows = 4 * MORSEL
     tables = {"t": Table.from_columns(
