@@ -1,33 +1,34 @@
-"""E10 — morsel-driven parallel execution in the embedded engine.
+"""E10 — morsel-driven execution in the embedded engine at 1, 2, 4 workers.
 
 Two server-heavy query shapes on a 10M-row table (scaled by
-``REPRO_BENCH_SCALE``), each run serially and with 2 and 4 workers:
+``REPRO_BENCH_SCALE``), each run with 1, 2 and 4 workers:
 
 * ``aggregate`` — scan -> filter -> grouped COUNT/SUM (the fused
   filter+partial-aggregate morsel pipeline with columnar merge);
 * ``topn`` — ORDER BY + LIMIT (the per-morsel top-N candidate merge).
 
+There is one executor (``repro.engine.executor``): the ``serial`` column
+is that executor with one worker, which runs the same morsel tasks
+inline on the calling thread, so ``speedup_vs_serial`` is what the extra
+workers buy over the same kernels (about 1.2x on two cores) and nothing
+else.  The record's key names (``serial``, ``speedup_vs_serial``,
+``serial_fallbacks``) are kept because ``repro.metrics.regress`` reads
+them.
+
 Writes the machine-readable perf record ``BENCH_parallel.json`` (git
 SHA, timestamp, per-configuration timings and rows/s) via the shared
-writer in conftest.  Both executors group and aggregate with the same
-kernels (``repro.engine.kernels``), so the aggregate's speedup is only
-what the extra workers buy (about 1.2x on two cores) — too close to 1
-for a speedup margin to tell a serial fallback from noise.  CI's
-perf-smoke tripwire therefore has two halves:
+writer in conftest.  A speedup that close to 1 cannot tell a node that
+stopped splitting from noise, so CI's perf-smoke tripwire has two
+halves:
 
-* no plan node of either query takes a serial fallback under 2 or 4
-  workers, and the nodes that split run one task per morsel (read from
-  ``explain_analyze_data``; a kernel that falls back to the serial path
-  fails here whatever the timings say);
+* deterministic, at every worker count: no plan node of either query
+  gathers its input instead of reducing it per morsel (no ``fallback``
+  on any EXPLAIN ANALYZE node), the nodes that split run one task per
+  morsel, and the 1-worker and 4-worker runs log the same number of
+  morsel tasks per split node;
 * the 4-worker aggregate is at least ``REPRO_BENCH_MIN_PARALLEL_SPEEDUP``
-  times as fast as serial (default 1.0: splitting and merging must cost
-  less than the workers gain, which bounds the merge to a fifth of the
-  serial time).
-
-The committed ``BENCH_parallel.json`` predates the shared kernels — its
-7x, the same with 2 and with 4 workers, is the former serial per-group
-loop being slow — and its ``parallel_efficiency`` of 2.01 must not be
-consumed (``repro.planner.calibrate.refit_from_report`` clamps to 1.0).
+  times as fast as one worker (default 1.0: submitting the tasks to a
+  pool must cost less than the workers gain).
 """
 
 import os
@@ -42,10 +43,20 @@ from repro.engine import Database, Table
 
 ROWS = 10_000_000
 WORKER_COUNTS = (1, 2, 4)
-REPEATS = 3
+REPEATS = 5
 
 #: the query whose 4-worker speedup the tripwire enforces
 TRIPWIRE_QUERY = "aggregate"
+
+#: floor for the other shapes.  Only the per-morsel selection of top-N
+#: runs as morsel tasks (under half of the query; the composite key, the
+#: concatenation of the projected morsels and the gather do not), so on
+#: two cores its 4-worker ratio reads 0.89-1.02 at the CI scale (2 M
+#: rows, 15 ms a query) and 1.03-1.08 at full scale (CHANGES.md, PR 15,
+#: lists the runs).  A floor of 1.0 sits inside that noise; 0.8 is
+#: outside it and bounds what handing the tasks to a pool may cost (the
+#: same 0.8 as the ``parallel`` rules of ``repro.metrics.regress``).
+POOL_OVERHEAD_FLOOR = 0.8
 
 QUERIES = {
     "aggregate": (
@@ -64,24 +75,33 @@ def build_table(num_rows):
     )
 
 
-def best_seconds(db, sql, repeats=REPEATS):
-    """Best-of-N wall time (insulates CI timings from scheduler noise)."""
-    best = None
+def best_seconds(databases, sql, repeats=REPEATS):
+    """Best-of-N wall time per worker count.  The worker counts take
+    turns inside every round, so a slow spell of the machine lands on all
+    of them and the ratios between them stay put; the best of the rounds
+    insulates each timing from scheduler noise."""
+    best = {}
     for _ in range(repeats):
-        start = time.perf_counter()
-        db.execute(sql)
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
+        for workers, db in databases.items():
+            start = time.perf_counter()
+            db.execute(sql)
+            elapsed = time.perf_counter() - start
+            best[workers] = min(elapsed, best.get(workers, elapsed))
     return best
 
 
+def worker_label(workers):
+    return "serial" if workers == 1 else "workers{}".format(workers)
+
+
 def morsel_report(db, sql):
-    """``(serial fallback reasons, morsel tasks run)`` of one analyzed
-    execution of ``sql``."""
+    """``(fallback reasons, morsel tasks per split node)`` of one
+    analyzed execution of ``sql``; the second is a list of
+    ``(node label, tasks)`` in plan order."""
     _, nodes = db.explain_analyze_data(sql)
     fallbacks = [node["fallback"] for node in nodes if "fallback" in node]
-    tasks = sum(len(node.get("morsels", ())) for node in nodes)
+    tasks = [(node["label"], len(node["morsels"]))
+             for node in nodes if node.get("morsels")]
     return fallbacks, tasks
 
 
@@ -102,9 +122,10 @@ def test_e10_parallel_execution(benchmark):
         timings = {}
         throughput = {}
         rows_out = None
+        best = best_seconds(databases, sql)
         for workers in WORKER_COUNTS:
-            seconds = best_seconds(databases[workers], sql)
-            label = "serial" if workers == 1 else "workers{}".format(workers)
+            seconds = best[workers]
+            label = worker_label(workers)
             timings[label] = seconds
             throughput[label] = {
                 "rows_per_second": num_rows / max(seconds, 1e-9),
@@ -120,21 +141,29 @@ def test_e10_parallel_execution(benchmark):
                 assert out.num_rows == rows_out
         fallbacks = {}
         morsel_tasks = {}
-        for workers in WORKER_COUNTS[1:]:
-            label = "workers{}".format(workers)
-            reasons, morsel_tasks[label] = morsel_report(
+        split_nodes = {}
+        for workers in WORKER_COUNTS:
+            label = worker_label(workers)
+            reasons, split_nodes[label] = morsel_report(
                 databases[workers], sql
             )
             fallbacks[label] = len(reasons)
+            morsel_tasks[label] = sum(
+                tasks for _, tasks in split_nodes[label]
+            )
             assert not reasons, (
-                "{} with {} workers fell back to the serial path: "
-                "{}".format(name, workers, reasons)
+                "{} with {} workers gathered a node's input instead of "
+                "reducing it per morsel: {}".format(name, workers, reasons)
             )
             assert morsel_tasks[label] >= (
                 num_rows // databases[workers].morsel_rows
             ), "{} with {} workers ran {} morsel tasks over {} rows".format(
                 name, workers, morsel_tasks[label], num_rows
             )
+        assert split_nodes["serial"] == split_nodes["workers4"], (
+            "{}: one worker and four split the plan differently: {} vs "
+            "{}".format(name, split_nodes["serial"], split_nodes["workers4"])
+        )
         serial = timings["serial"]
         speedup4 = serial / max(timings["workers4"], 1e-9)
         results["queries"][name] = {
@@ -168,15 +197,14 @@ def test_e10_parallel_execution(benchmark):
     print_header("E10: morsel-driven parallel execution (best of {})".format(
         REPEATS))
     print_rows(
-        ["query", "rows", "out", "serial(s)", "2w(s)", "4w(s)", "speedup4"],
+        ["query", "rows", "out", "1w(s)", "2w(s)", "4w(s)", "speedup4"],
         display,
     )
 
     write_bench_record("parallel", results)
 
-    # Equivalence spot check: parallel results match serial exactly on
-    # these queries' decomposable paths (top-N) and within float merge
-    # tolerance (SUM).
+    # Equivalence spot check: four workers answer exactly what one does
+    # (top-N) and within float merge tolerance (SUM).
     for name, sql in QUERIES.items():
         parallel_rows = databases[4].execute(sql).to_rows()
         assert len(parallel_rows) == len(reference[name])
@@ -189,10 +217,10 @@ def test_e10_parallel_execution(benchmark):
                 else:
                     assert parallel_value == serial_value
 
-    # The timing half of the tripwire (the fallback half ran above):
-    # splitting the aggregate into morsels and merging the partial
-    # states must not cost more than the workers gain — the kernels are
-    # the serial executor's own, so nothing else separates the two.
+    # The timing half of the tripwire (the deterministic half ran
+    # above): handing the aggregate's morsel tasks to a pool must not
+    # cost more than the workers gain — one worker runs the same tasks
+    # inline, so nothing else separates the two.
     min_speedup = float(
         os.environ.get("REPRO_BENCH_MIN_PARALLEL_SPEEDUP", "1.0")
     )
@@ -205,10 +233,9 @@ def test_e10_parallel_execution(benchmark):
         )
     )
 
-    # The other shapes must at least not regress behind serial.
     for name, entry in results["queries"].items():
-        assert entry["speedup_vs_serial"]["workers4"] >= 1.0, (
-            "{}: parallel-4 slower than serial".format(name)
+        assert entry["speedup_vs_serial"]["workers4"] >= POOL_OVERHEAD_FLOOR, (
+            "{}: four workers cost more than the pool may".format(name)
         )
 
     # The benchmark statistic: the 4-worker aggregate.

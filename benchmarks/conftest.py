@@ -38,17 +38,26 @@ def bench_scale():
 
 
 def git_sha():
-    """Current commit SHA, or None outside a git checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+    """Current commit SHA, or None outside a git checkout; suffixed
+    ``-dirty`` when tracked files differ from that commit, so a record
+    measured from an uncommitted tree does not point at code that
+    produces other numbers."""
+    def git(*args):
+        return subprocess.run(
+            ["git"] + list(args),
             capture_output=True, text=True, timeout=10,
             cwd=os.path.dirname(os.path.abspath(__file__)),
         )
+
+    try:
+        head = git("rev-parse", "HEAD")
+        status = git("status", "--porcelain", "--untracked-files=no")
     except (OSError, subprocess.TimeoutExpired):
         return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+    sha = head.stdout.strip()
+    if head.returncode != 0 or not sha:
+        return None
+    return sha + "-dirty" if status.stdout.strip() else sha
 
 
 def write_bench_record(name, payload):

@@ -199,7 +199,8 @@ def build_parser():
                          default="embedded")
         cmd.add_argument("--threads", type=int, default=None, metavar="N",
                          help="engine worker threads for the embedded "
-                              "backend (default: REPRO_THREADS or serial)")
+                              "backend (default 1: morsel tasks run "
+                              "inline on the calling thread)")
         cmd.add_argument("--trace", metavar="PATH", default=None,
                          help="record telemetry and write the trace here")
         cmd.add_argument("--trace-format", choices=("chrome", "json"),

@@ -2,7 +2,7 @@
 
 Both execution substrates — the client dataflow's columnar transforms
 (:mod:`repro.dataflow.transforms`) and the embedded engine's morsel
-executor (:mod:`repro.engine.parallel`) — reduce values per dense group
+executor (:mod:`repro.engine.executor`) — reduce values per dense group
 id.  These kernels implement the shared segmented-reduction idiom
 (``bincount`` and ``ufunc.at`` scatter passes over the group ids) once,
 over plain numpy arrays, so the two layers cannot drift apart.

@@ -16,11 +16,7 @@ from repro.engine.errors import (
     SQLSyntaxError,
     TypeMismatchError,
 )
-from repro.engine.parallel import (
-    MorselExecutor,
-    resolve_morsel_rows,
-    resolve_parallelism,
-)
+from repro.engine.executor import MorselExecutor
 from repro.engine.table import Column, Table, concat_tables
 from repro.engine.types import SQLType
 
@@ -42,6 +38,4 @@ __all__ = [
     "append_stats",
     "compute_stats",
     "concat_tables",
-    "resolve_morsel_rows",
-    "resolve_parallelism",
 ]

@@ -171,10 +171,12 @@ class Catalog:
     """Named tables with lazily computed statistics.
 
     VARCHAR columns of a registered table are dictionary-coded
-    (:meth:`repro.data.Column.encode`): group-by and sort keys,
-    MIN/MAX, statistics and byte accounting read the integer codes;
-    predicates, other expressions and join keys decode the column
-    (``.data``)."""
+    (:meth:`repro.data.Column.encode`).  Only grouping (group-by,
+    DISTINCT and partition keys and the rank of a sort key, through
+    ``kernels.factorize_column``), MIN/MAX, statistics and byte
+    accounting (``nbytes``) read the integer codes; filtering does
+    not — predicates, every other expression and join keys decode the
+    column (``.data``)."""
 
     def __init__(self):
         self._tables = {}

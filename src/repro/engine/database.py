@@ -10,14 +10,13 @@ import threading
 from repro.engine.binder import bind
 from repro.engine.catalog import Catalog
 from repro.engine.errors import EngineError
-from repro.engine.executor import execute
+from repro.engine.executor import (
+    MorselExecutor,
+    annotate_stats,
+    stats_preorder,
+)
 from repro.engine.logical import format_plan
 from repro.engine.optimizer import optimize
-from repro.engine.parallel import (
-    MorselExecutor,
-    resolve_morsel_rows,
-    resolve_parallelism,
-)
 from repro.engine.parser import parse_statement
 from repro.engine.table import Column, Table
 from repro.engine.types import SQLType
@@ -36,10 +35,10 @@ class Database:
     ``enable_pushdown`` / ``enable_pruning`` switch the logical optimizer
     rules on and off; benchmarks use them for ablations.
 
-    ``parallelism`` enables the morsel-driven parallel executor
-    (:mod:`repro.engine.parallel`); it defaults to ``REPRO_THREADS`` or
-    serial execution.  ``morsel_rows`` tunes the rows-per-morsel split
-    (``REPRO_MORSEL_ROWS``).
+    ``parallelism`` is the number of worker threads that share a
+    query's morsel tasks (:mod:`repro.engine.executor`); the default, 1,
+    runs them inline on the calling thread.  ``morsel_rows`` is the
+    rows-per-morsel split (default 65536).  Neither changes an answer.
     """
 
     def __init__(self, enable_pushdown=True, enable_pruning=True,
@@ -47,16 +46,14 @@ class Database:
         self.catalog = Catalog()
         self.enable_pushdown = enable_pushdown
         self.enable_pruning = enable_pruning
-        self.parallelism = resolve_parallelism(parallelism)
-        self.morsel_rows = resolve_morsel_rows(morsel_rows)
-        self._morsel_executor = (
-            MorselExecutor(self.parallelism, self.morsel_rows)
-            if self.parallelism > 1
-            else None
+        self._executor = MorselExecutor(
+            1 if parallelism is None else parallelism, morsel_rows
         )
+        self.parallelism = self._executor.workers
+        self.morsel_rows = self._executor.morsel_rows
         self.queries_executed = 0
         # Queries may arrive from several client threads at once (the
-        # parallel executor keeps per-call state, so execution itself is
+        # executor keeps per-call state, so execution itself is
         # reentrant); the counter needs its own lock to stay exact.
         self._counter_lock = threading.Lock()
 
@@ -140,12 +137,10 @@ class Database:
         """Structured EXPLAIN ANALYZE: executes a SELECT and returns
         ``(table, nodes)`` where nodes is a pre-order list of per-plan-
         node dicts (label, depth, parent, rows_in, rows_out, seconds,
-        self_seconds — plus a ``morsels`` log on nodes the parallel
-        executor split).  The table is the actual query result, so
+        self_seconds — plus a ``morsels`` log on nodes the executor
+        split).  The table is the actual query result, so
         callers can correlate node cardinalities with what was
         returned."""
-        from repro.engine.executor import stats_preorder
-
         plan = self.plan(sql)
         table, annotated = self._analyze(plan)
         return table, stats_preorder(plan, annotated)
@@ -153,17 +148,10 @@ class Database:
     def _analyze(self, plan):
         """Execute ``plan`` with per-node stats; returns
         ``(table, annotated)``."""
-        from repro.engine.executor import annotate_stats, execute_with_stats
-
         self._count_query()
-        if self._morsel_executor is not None:
-            table, stats, morsels, fallbacks = (
-                self._morsel_executor.execute_with_stats(plan, self.catalog)
-            )
-        else:
-            table, stats = execute_with_stats(plan, self.catalog)
-            morsels = {}
-            fallbacks = {}
+        table, stats, morsels, fallbacks = self._executor.execute_with_stats(
+            plan, self.catalog
+        )
         annotated = annotate_stats(plan, stats, self.catalog)
         for node_id, records in morsels.items():
             if node_id in annotated:
@@ -194,9 +182,7 @@ class Database:
             enable_pruning=self.enable_pruning,
         )
         self._count_query()
-        if self._morsel_executor is not None:
-            return self._morsel_executor.execute(plan, self.catalog)
-        return execute(plan, self.catalog)
+        return self._executor.execute(plan, self.catalog)
 
     def _run_insert(self, statement):
         _, name, column_names, rows = statement

@@ -1,10 +1,56 @@
 """Physical execution of logical plans against a catalog.
 
-``execute(plan, catalog)`` interprets a logical plan tree and returns a
-:class:`~repro.engine.table.Table`.  Execution is vectorized over numpy
-columns; grouping, windows, sorts, and joins factorize key columns into
-integer codes first, with the kernels of :mod:`repro.engine.kernels`.
+One executor answers every query: :class:`MorselExecutor` walks the
+plan once per execution (:class:`_PlanRun` holds that execution's
+state), and each operator's input decides how it runs.  An input of at
+most one morsel runs the operator's vectorized kernel once; a larger
+one is cut into morsels (:mod:`repro.engine.parallel`), the kernel runs
+per morsel, and a merge step combines the partial results into the same
+bytes the unsplit kernel produces.  The worker count only decides
+*where* morsel tasks run — inline on the calling thread with one
+worker, on the shared pool with more — never which code computes the
+answer.
+
+* **Filter / Project** — per-morsel outputs concatenate in morsel
+  order.  Adjacent Filter/Project nodes fuse into their consumer's
+  morsel tasks (no intermediate materialization) outside of EXPLAIN
+  ANALYZE.
+* **Aggregate** — two-phase: each morsel factorizes its group keys and
+  reduces them to partial states (:mod:`repro.engine.kernels`); the
+  merge re-factorizes the concatenated local key rows and merges the
+  states.  Group order is the unsplit one because factorization order
+  depends only on the distinct key values, and each group's key bytes
+  come from its globally first row.  Floating-point SUM/AVG may differ
+  in the last bits between split and unsplit execution (summation
+  order); everything else is byte-identical.
+* **Sort** — one dense order code per row (:func:`order_codes`), a
+  stable argsort per morsel, and a stable merge of the runs.  Under a
+  Limit only the rows the Limit can reach are gathered, and a
+  single-key sort selects them without sorting the rest.
+* **Join** — equi-joins build shared dense key codes over both inputs,
+  index the right side once, and probe the left side per morsel.
+* **Window** — partitions are independent, so they are sharded; every
+  shard writes disjoint rows of the shared output arrays.
+* **Distinct** — per-morsel first-occurrence candidates, then one small
+  re-factorization over the survivors.
+
+Three inputs have no per-morsel form and are gathered, then reduced by
+the unsplit kernel; the reason is recorded per plan node (EXPLAIN
+ANALYZE ``fallback``) and counted as ``engine.fallback.<reason>``:
+
+=========================== ==============================================
+reason                      trigger
+=========================== ==============================================
+``aggregate_nondecomposable``  MEDIAN / QUANTILE / STDDEV / VARIANCE /
+                               COUNT DISTINCT: no mergeable partial state
+``aggregate_type``             SUM/AVG over VARCHAR (the kernel raises)
+``window_single_partition``    one or zero partitions: nothing to shard
+=========================== ==============================================
 """
+
+import threading
+import time
+from functools import partial
 
 import numpy as np
 
@@ -13,11 +59,13 @@ from repro.engine.errors import ExecutionError, PlanError
 from repro.engine.eval import Frame, evaluate, predicate_mask
 from repro.engine.functions import aggregate_function
 from repro.engine.kernels import (
+    MAX_CODE_WIDTH,
     aggregate_states,
     factorize_column,
     factorize_rows,
     factorize_rows_first,
     group_row_indices,
+    merge_states,
     partial_kind,
     state_column,
 )
@@ -33,36 +81,69 @@ from repro.engine.logical import (
     Sort,
     Window,
 )
-from repro.engine.table import Column, Table, concat_columns
+from repro.engine.parallel import (
+    DEFAULT_MORSEL_ROWS,
+    concat_frame_parts,
+    frame_chunk_cuts,
+    morsel_bounds,
+    release_frame,
+    shared_pool,
+    slice_frame,
+    worker_index,
+)
+from repro.engine.table import Column, concat_columns
 from repro.engine.types import SQLType
 
 
-def execute(plan, catalog):
-    """Execute ``plan`` and return the result Table."""
-    frame = _execute(plan, catalog)
-    return frame.to_table()
+class MorselExecutor:
+    """Executes logical plans, one :class:`_PlanRun` per call.
 
-
-#: when set (by execute_with_stats), _execute records per-node stats here
-_active_stats = None
-
-
-def execute_with_stats(plan, catalog):
-    """Execute ``plan`` collecting per-node statistics.
-
-    Returns ``(table, stats)`` where stats maps ``id(node)`` to
-    ``(output_rows, seconds)`` — seconds are inclusive of children, like
-    EXPLAIN ANALYZE.  Not reentrant (the engine is single-threaded).
+    ``workers`` threads share the morsel tasks of a query; one worker
+    runs them inline on the calling thread (no pool, no futures).  All
+    execution state is per call, so concurrent queries on one executor
+    are safe at any worker count.
     """
-    global _active_stats
-    if _active_stats is not None:
-        raise ExecutionError("execute_with_stats is not reentrant")
-    _active_stats = {}
-    try:
-        frame = _execute(plan, catalog)
-        return frame.to_table(), _active_stats
-    finally:
-        _active_stats = None
+
+    def __init__(self, workers=1, morsel_rows=None):
+        workers = int(workers)
+        if workers < 1:
+            raise ValueError(
+                "parallelism must be >= 1, got {}".format(workers)
+            )
+        if morsel_rows is None:
+            morsel_rows = DEFAULT_MORSEL_ROWS
+        morsel_rows = int(morsel_rows)
+        if morsel_rows < 1:
+            raise ValueError(
+                "morsel size must be >= 1, got {}".format(morsel_rows)
+            )
+        self.workers = workers
+        self.morsel_rows = morsel_rows
+        self.pool = shared_pool(workers) if workers > 1 else None
+
+    def execute(self, plan, catalog):
+        """Execute ``plan`` and return the result Table."""
+        run = _PlanRun(self, catalog, collect_stats=False)
+        return run.execute(plan).to_table()
+
+    def execute_with_stats(self, plan, catalog):
+        """Execute ``plan`` collecting per-node statistics.
+
+        Returns ``(table, stats, morsels, fallbacks)``: ``stats`` maps
+        ``id(node)`` to ``(output_rows, seconds)`` (child-inclusive,
+        like EXPLAIN ANALYZE); ``morsels`` maps ``id(node)`` to a list
+        of per-morsel records (index, op, worker, rows_in, rows_out,
+        seconds) for nodes that actually split; ``fallbacks`` maps
+        ``id(node)`` to the reason a node's input was gathered instead
+        of reduced per morsel.
+        """
+        run = _PlanRun(self, catalog, collect_stats=True)
+        frame = run.execute(plan)
+        morsels = {
+            node_id: sorted(records, key=lambda record: record["index"])
+            for node_id, records in run.morsels.items()
+        }
+        return frame.to_table(), run.stats, morsels, run.fallbacks
 
 
 def annotate_stats(plan, raw_stats, catalog=None):
@@ -132,53 +213,464 @@ def stats_preorder(plan, annotated):
     return rows
 
 
-def _execute(plan, catalog):
-    if _active_stats is None:
-        return _execute_node(plan, catalog)
-    import time
-
-    start = time.perf_counter()
-    frame = _execute_node(plan, catalog)
-    _active_stats[id(plan)] = (
-        frame.num_rows, time.perf_counter() - start
-    )
-    return frame
+# --------------------------------------------------------------------------
+# The plan walk
+# --------------------------------------------------------------------------
 
 
-def _execute_node(plan, catalog):
-    if isinstance(plan, Scan):
-        return apply_scan(plan, catalog)
-    if isinstance(plan, Derived):
-        return apply_derived(plan, _execute(plan.child, catalog))
-    if isinstance(plan, Filter):
-        return apply_filter(plan, _execute(plan.child, catalog))
-    if isinstance(plan, Project):
-        return apply_project(plan, _execute(plan.child, catalog))
-    if isinstance(plan, Aggregate):
-        return apply_aggregate(plan, _execute(plan.child, catalog))
-    if isinstance(plan, Window):
-        return apply_window(plan, _execute(plan.child, catalog))
-    if isinstance(plan, Distinct):
-        return apply_distinct(plan, _execute(plan.child, catalog))
-    if isinstance(plan, Sort):
-        return apply_sort(plan, _execute(plan.child, catalog))
-    if isinstance(plan, Limit):
-        return apply_limit(plan, _execute(plan.child, catalog))
-    if isinstance(plan, Join):
-        return apply_join(
-            plan, _execute(plan.left, catalog), _execute(plan.right, catalog)
+class _PlanRun:
+    """State of one plan execution: per-node stats, morsel logs, and
+    gather-then-reduce reasons.
+
+    Outside of stats collection (``Database.execute``), adjacent
+    Filter/Project nodes fuse into their consumer's morsel tasks so a
+    scan -> filter -> aggregate pipeline touches each morsel once, and a
+    Sort under a Limit gathers only the rows the Limit can reach.
+    EXPLAIN ANALYZE disables both to keep per-node cardinalities and
+    timings exact.
+    """
+
+    def __init__(self, executor, catalog, collect_stats):
+        self.executor = executor
+        self.catalog = catalog
+        self.collect_stats = collect_stats
+        self.stats = {}
+        self.morsels = {}
+        self.fallbacks = {}
+        self._fuse = not collect_stats
+        self._lock = threading.Lock()
+
+    def execute(self, plan):
+        if not self.collect_stats:
+            return self._execute_node(plan)
+        start = time.perf_counter()
+        frame = self._execute_node(plan)
+        self.stats[id(plan)] = (frame.num_rows, time.perf_counter() - start)
+        return frame
+
+    def _execute_node(self, plan):
+        if isinstance(plan, Scan):
+            return apply_scan(plan, self.catalog)
+        if isinstance(plan, Derived):
+            return apply_derived(plan, self.execute(plan.child))
+        if isinstance(plan, (Filter, Project)):
+            return self._execute_chain(plan)
+        if isinstance(plan, Aggregate):
+            return self._execute_aggregate(plan)
+        if isinstance(plan, Window):
+            return self._execute_window(plan, self.execute(plan.child))
+        if isinstance(plan, Distinct):
+            return self._execute_distinct(plan, self.execute(plan.child))
+        if isinstance(plan, Sort):
+            return self._execute_sort(plan, self.execute(plan.child))
+        if isinstance(plan, Limit):
+            return apply_limit(plan, self.execute(plan.child))
+        if isinstance(plan, Join):
+            return self._execute_join(
+                plan, self.execute(plan.left), self.execute(plan.right)
+            )
+        raise ExecutionError("unsupported plan node {!r}".format(plan))
+
+    def _record_fallback(self, node, reason):
+        self.fallbacks[id(node)] = reason
+        # Always-on plane: a query shape that cannot be reduced per
+        # morsel is a fleet-level signal, so it lands in the process
+        # registry as a labeled counter regardless of tracing.
+        from repro.metrics import get_registry
+
+        get_registry().inc("engine.fallback", reason=reason)
+
+    # -- morsel machinery --------------------------------------------------
+
+    def _should_split(self, num_rows):
+        return num_rows > self.executor.morsel_rows
+
+    def _run_tasks(self, node, op, tasks):
+        """Run ``tasks`` — a list of ``(rows_in, thunk)`` where
+        ``thunk() -> (result, rows_out)`` — and return the results in
+        task order.  A single task means nothing was split: it runs in
+        place and leaves no morsel log."""
+        if len(tasks) == 1:
+            return [tasks[0][1]()[0]]
+        pool = self.executor.pool
+        if pool is None:
+            return [
+                self._run_task(node, op, index, rows_in, thunk)
+                for index, (rows_in, thunk) in enumerate(tasks)
+            ]
+        futures = [
+            pool.submit(self._run_task, node, op, index, rows_in, thunk)
+            for index, (rows_in, thunk) in enumerate(tasks)
+        ]
+        return [future.result() for future in futures]
+
+    def _run_task(self, node, op, index, rows_in, thunk):
+        if not self.collect_stats:
+            return thunk()[0]
+        start = time.perf_counter()
+        result, rows_out = thunk()
+        record = {
+            "index": index,
+            "op": op,
+            "worker": worker_index() if self.executor.pool is not None else 0,
+            "rows_in": int(rows_in),
+            "rows_out": int(rows_out),
+            "seconds": time.perf_counter() - start,
+        }
+        with self._lock:
+            self.morsels.setdefault(id(node), []).append(record)
+        return result
+
+    def _map_morsels(self, node, op, num_rows, task, cuts=None):
+        """Run ``task(lo, hi) -> (result, rows_out)`` for every morsel of
+        ``num_rows`` rows; returns the results in morsel order."""
+        bounds = morsel_bounds(num_rows, self.executor.morsel_rows, cuts)
+        tasks = [(hi - lo, partial(task, lo, hi)) for lo, hi in bounds]
+        return self._run_tasks(node, op, tasks)
+
+    # -- fused filter/project chains ---------------------------------------
+
+    def _gather_chain(self, node):
+        """Fusable Filter/Project nodes below ``node``, bottom-to-top,
+        plus the base node feeding them.  Descends only while fusion is
+        enabled (i.e. never under EXPLAIN ANALYZE)."""
+        ops = []
+        node = node.child
+        while self._fuse and isinstance(node, (Filter, Project)):
+            ops.append(node)
+            node = node.child
+        ops.reverse()
+        return ops, node
+
+    def _execute_chain(self, plan):
+        ops, base_node = self._gather_chain(plan)
+        return self._chain_result(ops + [plan], self.execute(base_node))
+
+    def _chain_result(self, ops, base):
+        if not ops or not self._should_split(base.num_rows):
+            return _apply_chain(base, ops)
+
+        def task(lo, hi):
+            out = _apply_chain(slice_frame(base, lo, hi), ops)
+            return out, out.num_rows
+
+        top = ops[-1]
+        op = "filter" if isinstance(top, Filter) else "project"
+        parts = self._map_morsels(
+            top, op, base.num_rows, task, cuts=frame_chunk_cuts(base)
         )
-    raise ExecutionError("unsupported plan node {!r}".format(plan))
+        return concat_frame_parts(parts)
+
+    # -- aggregate ---------------------------------------------------------
+
+    def _execute_aggregate(self, plan):
+        ops, base_node = self._gather_chain(plan)
+        base = self.execute(base_node)
+
+        if not self._should_split(base.num_rows):
+            return apply_aggregate(plan, _apply_chain(base, ops))
+
+        def gathered(reason=None):
+            """No per-morsel form: the chain still runs per morsel, the
+            unsplit kernel reduces its gathered output."""
+            if reason is not None:
+                self._record_fallback(plan, reason)
+            return apply_aggregate(plan, self._chain_result(ops, base))
+
+        kinds = [partial_kind(call) for call, _ in plan.aggregates]
+        if None in kinds:
+            return gathered("aggregate_nondecomposable")
+        # A zero-row slice through the chain gives the output schema
+        # (argument and result types) without touching any data.
+        probe = _apply_chain(slice_frame(base, 0, 0), ops)
+        try:
+            inputs = [
+                _aggregate_inputs(call, probe) for call, _ in plan.aggregates
+            ]
+        except (ExecutionError, PlanError):
+            return gathered()  # the unsplit kernel raises it identically
+        if any(
+            kind in ("sum", "avg") and arg_column.type is SQLType.VARCHAR
+            for kind, (_, arg_column, _) in zip(kinds, inputs)
+        ):
+            return gathered("aggregate_type")
+        result_types = [result_type for _, _, result_type in inputs]
+
+        def task(lo, hi):
+            frame = _apply_chain(slice_frame(base, lo, hi), ops)
+            key_columns = [evaluate(expr, frame) for expr, _ in plan.groups]
+            group_ids, group_count, first = factorize_rows_first(
+                key_columns, frame.num_rows
+            )
+            if group_count == 0:
+                release_frame(base, lo, hi)
+                return None, 0
+            local_keys = [column.take(first) for column in key_columns]
+            states = []
+            for kind, (call, _) in zip(kinds, plan.aggregates):
+                _, arg_column, _ = _aggregate_inputs(call, frame)
+                states.append(
+                    aggregate_states(kind, arg_column, group_ids, group_count)
+                )
+            # Partial states and gathered keys are copies, so the morsel's
+            # source pages can be dropped: this is what keeps a streaming
+            # aggregate over a memmap column at O(morsel) resident bytes.
+            release_frame(base, lo, hi)
+            return (local_keys, states, group_count), group_count
+
+        results = self._map_morsels(
+            plan, "aggregate", base.num_rows, task,
+            cuts=frame_chunk_cuts(base),
+        )
+        parts = [result for result in results if result is not None]
+        if not parts:
+            # Every morsel came up empty: the empty-input edge cases are
+            # the unsplit kernel's.
+            return apply_aggregate(plan, probe)
+        return self._merge_aggregate(plan, kinds, result_types, parts)
+
+    def _merge_aggregate(self, plan, kinds, result_types, parts):
+        """Associative columnar merge of the per-morsel partial states.
+
+        Concatenating each morsel's local group keys (in morsel order)
+        and re-factorizing yields the unsplit group order —
+        factorization order depends only on the distinct key values —
+        and each group's first concatenated row is its globally first
+        input row, so the key bytes match the unsplit output exactly.
+        """
+        cat_keys = [
+            concat_columns([part[0][position] for part in parts])
+            for position in range(len(plan.groups))
+        ]
+        total = sum(part[2] for part in parts)
+        group_ids, group_count, first = factorize_rows_first(cat_keys, total)
+        entries = [
+            (None, name, cat_keys[position].take(first))
+            for position, (_, name) in enumerate(plan.groups)
+        ]
+        for position, ((_, name), kind, result_type) in enumerate(
+            zip(plan.aggregates, kinds, result_types)
+        ):
+            state = merge_states(
+                kind, [part[1][position] for part in parts],
+                group_ids, group_count,
+            )
+            entries.append((None, name, state_column(kind, state, result_type)))
+        return Frame(entries, num_rows=group_count)
+
+    # -- sort --------------------------------------------------------------
+
+    def _execute_sort(self, plan, child):
+        table = child.to_table()
+        num_rows = table.num_rows
+        keys = [
+            (table.column(name), descending, nulls_first)
+            for name, descending, nulls_first in plan.keys
+        ]
+        # limit_hint is only set when a Limit consumes this Sort directly;
+        # rows past limit+offset can never be observed.
+        limit = plan.limit_hint
+        if limit is not None and len(keys) == 1 and 0 < limit < num_rows // 4:
+            order = self._topn_order(plan, keys[0], num_rows, limit)
+        else:
+            order = self._full_order(plan, keys, num_rows)
+            if self._fuse and limit is not None:
+                order = order[:limit]
+        sorted_frame = Frame.from_table(table.take(order))
+        if plan.drop:
+            entries = [
+                (qualifier, name, column)
+                for qualifier, name, column in sorted_frame.entries
+                if name not in plan.drop
+            ]
+            return Frame(entries, num_rows=sorted_frame.num_rows)
+        return sorted_frame
+
+    def _full_order(self, plan, keys, num_rows):
+        codes = order_codes(keys, num_rows)
+
+        def task(lo, hi):
+            return np.argsort(codes[lo:hi], kind="stable") + lo, hi - lo
+
+        runs = self._map_morsels(plan, "sort", num_rows, task)
+        if len(runs) == 1:
+            return runs[0]
+        # Stable argsort over the gathered runs is the k-way merge: equal
+        # codes keep their run (= row) order, so this equals the unsplit
+        # stable sort exactly; timsort exploits the presorted runs.
+        runs = np.concatenate(runs)
+        return runs[np.argsort(codes[runs], kind="stable")]
+
+    def _topn_order(self, plan, key, num_rows, limit):
+        """The first ``limit`` positions of the stable sort by one key,
+        without sorting the rest: each morsel contributes its canonical
+        top-``limit`` candidates and the same selection runs over their
+        union."""
+        composite = _topn_composite(key)
+
+        def task(lo, hi):
+            candidates = _topn_select(composite, np.arange(lo, hi), limit)
+            return candidates, len(candidates)
+
+        parts = self._map_morsels(plan, "sort", num_rows, task)
+        ordered = _topn_select(composite, np.concatenate(parts), limit)
+        if self._fuse:
+            return ordered
+        rest = np.ones(num_rows, dtype=np.bool_)
+        rest[ordered] = False
+        return np.concatenate([ordered, np.flatnonzero(rest)])
+
+    # -- join --------------------------------------------------------------
+
+    def _execute_join(self, plan, left, right):
+        left_exprs, right_exprs = _equi_keys(plan.condition, left, right)
+        left_keys = [evaluate(expr, left) for expr in left_exprs]
+        right_keys = [evaluate(expr, right) for expr in right_exprs]
+        left_rows, right_rows = _join_eligible(left_keys, right_keys)
+        left_codes, right_codes = _join_codes(
+            left_keys, right_keys, left_rows, right_rows
+        )
+
+        # Build side: group eligible right rows by code, preserving row
+        # order within each code, so every left row meets its matches in
+        # right-row order.
+        build_order = np.argsort(right_codes, kind="stable")
+        right_sorted_rows = right_rows[build_order]
+        sorted_codes = right_codes[build_order]
+        if len(sorted_codes):
+            starts = np.flatnonzero(
+                np.r_[True, sorted_codes[1:] != sorted_codes[:-1]]
+            )
+            unique_codes = sorted_codes[starts]
+            counts = np.diff(np.r_[starts, len(sorted_codes)])
+        else:
+            starts = np.zeros(0, dtype=np.int64)
+            unique_codes = np.zeros(0, dtype=np.int64)
+            counts = np.zeros(0, dtype=np.int64)
+
+        left_join = plan.kind == "LEFT"
+
+        def task(lo, hi):
+            begin = np.searchsorted(left_rows, lo)
+            end = np.searchsorted(left_rows, hi)
+            rows = left_rows[begin:end]
+            codes = left_codes[begin:end]
+            if len(unique_codes):
+                positions = np.searchsorted(unique_codes, codes)
+                positions = np.clip(positions, 0, len(unique_codes) - 1)
+                match = unique_codes[positions] == codes
+            else:
+                # No build row can match (empty or all NULL/NaN keys).
+                positions = np.zeros(len(codes), dtype=np.int64)
+                match = np.zeros(len(codes), dtype=np.bool_)
+            matched_rows = rows[match]
+            matched_positions = positions[match]
+            match_counts = counts[matched_positions]
+            left_idx = np.repeat(matched_rows, match_counts)
+            segment_base = np.repeat(starts[matched_positions], match_counts)
+            total = int(match_counts.sum())
+            offsets = np.arange(total) - np.repeat(
+                np.cumsum(match_counts) - match_counts, match_counts
+            )
+            right_idx = right_sorted_rows[segment_base + offsets]
+            if left_join:
+                unmatched = np.setdiff1d(
+                    np.arange(lo, hi), matched_rows, assume_unique=True
+                )
+            else:
+                unmatched = np.zeros(0, dtype=np.int64)
+            return (left_idx, right_idx, unmatched), total + len(unmatched)
+
+        parts = self._map_morsels(plan, "join", left.num_rows, task)
+        left_idx = np.concatenate([part[0] for part in parts])
+        right_idx = np.concatenate([part[1] for part in parts])
+        unmatched = np.concatenate([part[2] for part in parts])
+
+        entries = left.take(left_idx).entries + right.take(right_idx).entries
+        if len(unmatched):
+            # LEFT join: unmatched left rows follow the matches, in row
+            # order, padded with NULLs on the right.
+            pads = left.take(unmatched).entries + [
+                (qualifier, name, Column.nulls(column.type, len(unmatched)))
+                for qualifier, name, column in right.entries
+            ]
+            entries = [
+                (qualifier, name, concat_columns([column, pad]))
+                for (qualifier, name, column), (_, _, pad)
+                in zip(entries, pads)
+            ]
+        return Frame(entries, num_rows=len(left_idx) + len(unmatched))
+
+    # -- window ------------------------------------------------------------
+
+    def _execute_window(self, plan, child):
+        entries = list(child.entries)
+        for window, name in plan.items:
+            entries.append(
+                (None, name, self._window_column(plan, window, child))
+            )
+        return Frame(entries, num_rows=child.num_rows)
+
+    def _window_column(self, node, window, frame):
+        groups, kernel, out, out_valid = _window_kernel(window, frame)
+        # Partitions write disjoint rows of the shared output arrays, so
+        # they can be sharded (four shards per worker, for balance); one
+        # worker, one partition or one morsel of input is one shard.
+        shards = 1
+        if self._should_split(frame.num_rows):
+            if len(groups) <= 1:
+                self._record_fallback(node, "window_single_partition")
+            elif self.executor.workers > 1:
+                shards = min(len(groups), self.executor.workers * 4)
+
+        def shard_task(chunk):
+            rows = sum(len(groups[group_index]) for group_index in chunk)
+
+            def thunk():
+                for group_index in chunk:
+                    kernel(groups[group_index])
+                return None, rows
+
+            return rows, thunk
+
+        chunks = np.array_split(np.arange(len(groups)), shards)
+        self._run_tasks(
+            node, "window", [shard_task(chunk) for chunk in chunks]
+        )
+        return Column(SQLType.DOUBLE, out, out_valid)
+
+    # -- distinct ----------------------------------------------------------
+
+    def _execute_distinct(self, plan, child):
+        if not self._should_split(child.num_rows):
+            return apply_distinct(plan, child)
+        columns = [column for _, _, column in child.entries]
+
+        def task(lo, hi):
+            part = [c.slice(lo, hi) for c in columns]
+            _, _, first = factorize_rows_first(part, hi - lo)
+            candidates = np.sort(first) + lo
+            return candidates, len(candidates)
+
+        parts = self._map_morsels(
+            plan, "distinct", child.num_rows, task,
+            cuts=frame_chunk_cuts(child),
+        )
+        # Candidates are globally ascending (sorted per morsel, morsels in
+        # order), so each value's first candidate is its globally first
+        # row — re-factorizing the survivors reproduces the unsplit output
+        # byte-for-byte, including row order.
+        survivors = child.take(np.concatenate(parts))
+        return apply_distinct(plan, survivors)
 
 
 # --------------------------------------------------------------------------
-# Per-node appliers
+# Operator kernels
 #
-# Each applier takes already-executed child Frames, so both the serial
-# interpreter above and the morsel-driven parallel executor
-# (repro.engine.parallel) share one implementation per operator — any
-# node the parallel executor does not split falls back to the exact
-# serial code path.
+# Each takes already-executed child Frames and computes the operator over
+# the whole of its input: the plan walk above calls them once on an
+# input of at most one morsel, and per morsel (or over the gathered
+# survivors) on a larger one.
 # --------------------------------------------------------------------------
 
 
@@ -204,6 +696,16 @@ def apply_project(plan, child):
         (None, name, evaluate(expr, child)) for expr, name in plan.items
     ]
     return Frame(entries, num_rows=child.num_rows)
+
+
+def _apply_chain(frame, ops):
+    """Apply a fused Filter/Project chain (bottom-to-top order)."""
+    for op in ops:
+        if isinstance(op, Filter):
+            frame = apply_filter(op, frame)
+        else:
+            frame = apply_project(op, frame)
+    return frame
 
 
 def apply_distinct(plan, child):
@@ -348,22 +850,14 @@ _WINDOW_AGGREGATES = {"SUM", "COUNT", "AVG", "MIN", "MAX"}
 _WINDOW_OFFSETS = {"LAG", "LEAD"}
 
 
-def apply_window(plan, child):
-    entries = list(child.entries)
-    for window, name in plan.items:
-        entries.append((None, name, _compute_window(window, child)))
-    return Frame(entries, num_rows=child.num_rows)
+def _window_kernel(window, frame):
+    """Set up one window item: evaluates partition and order expressions
+    plus the function argument against the full frame.
 
-
-def window_inputs(window, frame):
-    """Shared setup for one window item: evaluates partition and order
-    expressions plus the function argument against the full frame.
-
-    Returns ``(func_name, groups, order_keys, arg_column, out,
-    out_valid)``.  ``groups`` is the per-partition row-index list;
-    partitions are independent (each writes a disjoint row set of the
-    shared output arrays), which is what makes the morsel executor's
-    partition-parallel window sound.
+    Returns ``(groups, kernel, out, out_valid)``.  ``groups`` is the
+    per-partition row-index list and ``kernel(indices)`` computes the
+    item over one partition, writing into the shared output arrays; only
+    rows in ``indices`` are touched, so partitions are independent.
     """
     num_rows = frame.num_rows
     partition_columns = [evaluate(expr, frame) for expr in window.partition_by]
@@ -374,6 +868,8 @@ def window_inputs(window, frame):
         (evaluate(item.expr, frame), item.descending, item.nulls_first)
         for item in window.order_by
     ]
+    # Ranks over the whole frame order every partition's rows.
+    codes = order_codes(order_keys, num_rows) if order_keys else None
 
     func_name = window.func.name.upper()
     out = np.zeros(num_rows, dtype=np.float64)
@@ -383,47 +879,27 @@ def window_inputs(window, frame):
     if window.func.args and not isinstance(window.func.args[0], sqlast.Star):
         arg_column = evaluate(window.func.args[0], frame)
 
-    return func_name, groups, order_keys, arg_column, out, out_valid
+    def kernel(indices):
+        ordered = indices
+        if codes is not None:
+            ordered = indices[np.argsort(codes[indices], kind="stable")]
+        if func_name in _WINDOW_RANKERS:
+            _window_rank(func_name, ordered, order_keys, out)
+        elif func_name in _WINDOW_AGGREGATES:
+            _window_aggregate(
+                func_name, ordered, arg_column, bool(order_keys),
+                out, out_valid,
+            )
+        elif func_name in _WINDOW_OFFSETS:
+            _window_offset(
+                func_name, window.func, ordered, arg_column, out, out_valid
+            )
+        else:
+            raise ExecutionError(
+                "unsupported window function {}()".format(window.func.name)
+            )
 
-
-def window_partition_kernel(
-    window, func_name, order_keys, arg_column, indices, out, out_valid
-):
-    """Compute one window item over one partition, writing the results
-    into the shared output arrays (only rows in ``indices`` are
-    touched)."""
-    local_order = _sorted_indices(
-        [(column.take(indices), desc, nf) for column, desc, nf in order_keys],
-        len(indices),
-    )
-    ordered = indices[local_order]
-    if func_name in _WINDOW_RANKERS:
-        _window_rank(func_name, ordered, order_keys, out)
-    elif func_name in _WINDOW_AGGREGATES:
-        _window_aggregate(
-            func_name, ordered, arg_column, bool(window.order_by), out, out_valid
-        )
-    elif func_name in _WINDOW_OFFSETS:
-        _window_offset(func_name, window.func, ordered, arg_column, out, out_valid)
-    else:
-        raise ExecutionError(
-            "unsupported window function {}()".format(window.func.name)
-        )
-
-
-def _compute_window(window, frame):
-    func_name, groups, order_keys, arg_column, out, out_valid = window_inputs(
-        window, frame
-    )
-    if frame.num_rows == 0:
-        return Column.from_values([], SQLType.DOUBLE)
-
-    for indices in groups:
-        window_partition_kernel(
-            window, func_name, order_keys, arg_column, indices, out, out_valid
-        )
-
-    return Column(SQLType.DOUBLE, out, out_valid)
+    return groups, kernel, out, out_valid
 
 
 def _window_rank(func_name, ordered, order_keys, out):
@@ -500,46 +976,49 @@ def _window_offset(func_name, call, ordered, arg_column, out, out_valid):
 
 
 # --------------------------------------------------------------------------
-# Sort
+# Sort orders
 # --------------------------------------------------------------------------
 
 
-def apply_sort(plan, child):
-    table = child.to_table()
-    keys = []
-    for name, descending, nulls_first in plan.keys:
-        keys.append((table.column(name), descending, nulls_first))
-    limit = plan.limit_hint
-    if (
-        limit is not None
-        and len(keys) == 1
-        and 0 < limit < table.num_rows // 4
-    ):
-        order = _topn_indices(keys[0], table.num_rows, limit)
-    else:
-        order = _sorted_indices(keys, table.num_rows)
-    sorted_frame = Frame.from_table(table.take(order))
-    if plan.drop:
-        entries = [
-            (q, n, column)
-            for q, n, column in sorted_frame.entries
-            if n not in plan.drop
-        ]
-        return Frame(entries, num_rows=sorted_frame.num_rows)
-    return sorted_frame
+def order_codes(keys, num_rows):
+    """One dense int64 code per row whose ascending stable order is the
+    ordering by ``keys`` — ``(column, descending, nulls_first)`` triples
+    in priority order; Postgres NULL placement by default (NULLs sort as
+    larger than every value).
 
-
-def _topn_indices(key, num_rows, limit):
-    """Top-N partial selection for a single sort key: a partition pass
-    narrows the candidate pool, then only those are fully sorted.
-
-    Only the first ``limit`` positions of the returned order are
-    meaningful — exactly what the Limit above will consume.
+    Per key column: valid values get their rank among the distinct
+    (possibly negated for DESC) values — NaN collapses to the highest
+    rank, like every numpy sort — and NULL gets a dedicated code before
+    or after the value range per the requested placement.  Codes combine
+    mixed-radix across columns; the running code is re-densified
+    (order-preserving) whenever one more column would take it past
+    :data:`MAX_CODE_WIDTH`.
     """
-    composite = _topn_composite(key)
-    ordered = _topn_select(composite, np.arange(num_rows), limit)
-    rest = np.setdiff1d(np.arange(num_rows), ordered, assume_unique=False)
-    return np.concatenate([ordered, rest])
+    combined = np.zeros(num_rows, dtype=np.int64)
+    width = 1
+    for column, descending, nulls_first in keys:
+        if column.type is SQLType.VARCHAR:
+            codes, _ = factorize_column(column)
+            values = codes.astype(np.float64)
+        else:
+            values = column.data.astype(np.float64)
+        if descending:
+            values = -values
+        values = np.where(column.valid, values, 0.0)
+        uniques, inverse = np.unique(values, return_inverse=True)
+        value_code = inverse.astype(np.int64)
+        null_first = descending if nulls_first is None else bool(nulls_first)
+        if null_first:
+            code = np.where(column.valid, value_code + 1, np.int64(0))
+        else:
+            code = np.where(column.valid, value_code, np.int64(len(uniques)))
+        cardinality = len(uniques) + 1
+        if width * cardinality > MAX_CODE_WIDTH:
+            dense, combined = np.unique(combined, return_inverse=True)
+            width = len(dense)
+        combined = combined * np.int64(cardinality) + code
+        width *= cardinality
+    return combined
 
 
 def _topn_composite(key):
@@ -583,95 +1062,71 @@ def _topn_select(composite, candidates, limit):
     return pool[order[:limit]]
 
 
-def _sorted_indices(keys, num_rows):
-    """Stable multi-key ordering; Postgres NULL placement by default
-    (NULLs sort as larger than every value)."""
-    if not keys:
-        return np.arange(num_rows)
-    lexsort_keys = []
-    for column, descending, nulls_first in keys:
-        if column.type is SQLType.VARCHAR:
-            codes, _ = factorize_column(column)
-            values = codes.astype(np.float64)
-            # factorize assigns NULL the highest code already; recompute a
-            # clean numeric array where NULL handling is explicit below.
-            values = np.where(column.valid, values, 0.0)
-        elif column.type is SQLType.BOOLEAN:
-            values = column.data.astype(np.float64)
-        else:
-            values = column.data.astype(np.float64)
-        if descending:
-            values = -values
-        if nulls_first is None:
-            null_rank = 0.0 if descending else 1.0
-        else:
-            null_rank = 0.0 if nulls_first else 1.0
-        null_key = np.where(column.valid, 0.0, 1.0) * (1.0 if null_rank else -1.0)
-        # Two keys per sort column, in priority order: null placement wins,
-        # then the value itself.
-        lexsort_keys.append(null_key)
-        lexsort_keys.append(np.where(column.valid, values, 0.0))
-    # np.lexsort sorts by the LAST key first; reverse for priority order.
-    return np.lexsort(tuple(reversed(lexsort_keys)))
-
-
 # --------------------------------------------------------------------------
-# Join
+# Join keys
 # --------------------------------------------------------------------------
 
 
-def apply_join(plan, left, right):
-    left_exprs, right_exprs = _equi_keys(plan.condition, left, right)
+def _join_eligible(left_keys, right_keys):
+    """Row indices of each side that can match at all: every key part
+    is neither NULL nor NaN (NaN never equals NaN).  A VARCHAR key never
+    equals a numeric one, so a pair of mixed types leaves no row
+    eligible on either side."""
+    left_ok = np.ones(len(left_keys[0]), dtype=np.bool_)
+    right_ok = np.ones(len(right_keys[0]), dtype=np.bool_)
+    for left_column, right_column in zip(left_keys, right_keys):
+        left_str = left_column.type is SQLType.VARCHAR
+        if left_str != (right_column.type is SQLType.VARCHAR):
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty
+        left_ok &= left_column.valid
+        right_ok &= right_column.valid
+        if not left_str:
+            with np.errstate(invalid="ignore"):
+                if left_column.type is SQLType.DOUBLE:
+                    left_ok &= ~np.isnan(left_column.data)
+                if right_column.type is SQLType.DOUBLE:
+                    right_ok &= ~np.isnan(right_column.data)
+    return np.flatnonzero(left_ok), np.flatnonzero(right_ok)
 
-    left_keys = [evaluate(expr, left) for expr in left_exprs]
-    right_keys = [evaluate(expr, right) for expr in right_exprs]
 
-    index = {}
-    for row in range(right.num_rows):
-        key = tuple(column.value_at(row) for column in right_keys)
-        if any(part is None for part in key):
-            continue
-        index.setdefault(key, []).append(row)
+def _join_codes(left_keys, right_keys, left_rows, right_rows):
+    """Shared dense int64 codes for the eligible join rows of both sides.
 
-    left_indices = []
-    right_indices = []
-    unmatched = []
-    for row in range(left.num_rows):
-        key = tuple(column.value_at(row) for column in left_keys)
-        matches = None if any(part is None for part in key) else index.get(key)
-        if matches:
-            for match in matches:
-                left_indices.append(row)
-                right_indices.append(match)
-        elif plan.kind == "LEFT":
-            unmatched.append(row)
-
-    left_idx = np.array(left_indices, dtype=np.int64)
-    right_idx = np.array(right_indices, dtype=np.int64)
-
-    matched_left = left.take(left_idx)
-    matched_right = right.take(right_idx)
-
-    entries = list(matched_left.entries) + list(matched_right.entries)
-    result = Frame(entries, num_rows=len(left_idx))
-
-    if plan.kind == "LEFT" and unmatched:
-        pad_left = left.take(np.array(unmatched, dtype=np.int64))
-        pad_entries = list(pad_left.entries)
-        for qualifier, name, column in right.entries:
-            pad_entries.append(
-                (qualifier, name, Column.nulls(column.type, len(unmatched)))
+    Both columns of a key pair factorize against the union of their
+    distinct values, so equal values get equal codes across sides
+    (booleans compare equal to 0.0/1.0).  Codes combine mixed-radix
+    across key pairs; both sides are re-densified together whenever one
+    more pair would take the code past :data:`MAX_CODE_WIDTH`.
+    """
+    left_combined = np.zeros(len(left_rows), dtype=np.int64)
+    right_combined = np.zeros(len(right_rows), dtype=np.int64)
+    if not len(left_rows) or not len(right_rows):
+        return left_combined, right_combined
+    width = 1
+    for left_column, right_column in zip(left_keys, right_keys):
+        if left_column.type is SQLType.VARCHAR:
+            left_values = left_column.data[left_rows]
+            right_values = right_column.data[right_rows]
+        else:
+            left_values = left_column.data.astype(np.float64)[left_rows]
+            right_values = right_column.data.astype(np.float64)[right_rows]
+        uniques = np.unique(np.concatenate([left_values, right_values]))
+        left_code = np.searchsorted(uniques, left_values).astype(np.int64)
+        right_code = np.searchsorted(uniques, right_values).astype(np.int64)
+        cardinality = len(uniques)
+        if width * cardinality > MAX_CODE_WIDTH:
+            dense, inverse = np.unique(
+                np.concatenate([left_combined, right_combined]),
+                return_inverse=True,
             )
-        pad_frame = Frame(pad_entries, num_rows=len(unmatched))
-        result = _concat_frames(result, pad_frame)
-    return result
-
-
-def _concat_frames(first, second):
-    entries = []
-    for (q1, n1, c1), (q2, n2, c2) in zip(first.entries, second.entries):
-        entries.append((q1, n1, concat_columns([c1, c2])))
-    return Frame(entries, num_rows=first.num_rows + second.num_rows)
+            left_combined = inverse[:len(left_rows)]
+            right_combined = inverse[len(left_rows):]
+            width = len(dense)
+        left_combined = left_combined * np.int64(cardinality) + left_code
+        right_combined = right_combined * np.int64(cardinality) + right_code
+        width *= cardinality
+    return left_combined, right_combined
 
 
 def _equi_keys(condition, left, right):

@@ -1,13 +1,13 @@
-"""Grouping and aggregation kernels shared by both executors.
+"""Grouping and aggregation kernels of the executor.
 
-The serial interpreter (:mod:`repro.engine.executor`) and the morsel
-executor (:mod:`repro.engine.parallel`) group rows and reduce them with
-the same code: key columns become dense integer codes, the codes of
-several columns combine mixed-radix into one group id per row, and the
-decomposable aggregates (COUNT / SUM / AVG / MIN / MAX) reduce per group
-id with ``bincount`` / ``ufunc.at`` segment kernels.  The serial executor
-reduces the whole input once; the morsel executor reduces each morsel to
-a partial state and merges the states with :func:`merge_states`.
+The executor (:mod:`repro.engine.executor`) groups rows and reduces them
+with the same code whether or not an input is split into morsels: key
+columns become dense integer codes, the codes of several columns combine
+mixed-radix into one group id per row, and the decomposable aggregates
+(COUNT / SUM / AVG / MIN / MAX) reduce per group id with ``bincount`` /
+``ufunc.at`` segment kernels.  An input of at most one morsel is reduced
+once; a larger one is reduced per morsel to partial states, which
+:func:`merge_states` merges.
 
 Factorization is sort-free wherever the values already are small
 integers: dictionary-coded VARCHAR (codes into a sorted dictionary),
@@ -16,8 +16,8 @@ not much larger than the input (a presence bitmap over the code space
 replaces the sort).  Only DOUBLE columns still sort (one ``np.unique``)
 to find value ranks.
 
-Group order is part of the contract, because both executors and every
-backend must agree on it: groups are numbered in ascending order of
+Group order is part of the contract, because split and unsplit
+execution and every backend must agree on it: groups are numbered in ascending order of
 their key tuple, NULL after every value, and each group's key bytes are
 those of its first input row.
 """

@@ -9,11 +9,11 @@ The run matrix per case:
 
 * ``embedded`` backend, every cut ``0..max_cut`` (client-only, each
   hybrid prefix, server-only);
-* ``embedded-mt4`` — same cuts on the morsel-driven parallel executor
-  (4 workers, tiny morsels) with the row-at-a-time client path — the
-  executor axis: serial-vs-parallel divergence is caught the same way
+* ``embedded-mt4`` — same cuts with every operator input split into
+  tiny morsels over 4 workers, with the row-at-a-time client path — the
+  executor axis: split-vs-unsplit divergence is caught the same way
   backend divergence is;
-* ``embedded-mt4-columnar`` — the parallel executor combined with the
+* ``embedded-mt4-columnar`` — split execution combined with the
   vectorized columnar client kernels, crossing the executor axis with
   the columnar axis (the vectorized morsel pipeline feeding vectorized
   client transforms, the all-fast-paths configuration);

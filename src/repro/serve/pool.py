@@ -6,10 +6,12 @@ the pool checks sessions out exclusively.  What *is* shared, process
 wide, is everything expensive underneath:
 
 * one :class:`~repro.backends.embedded.EmbeddedBackend` (one engine
-  ``Database``, proven safe under concurrent clients by
-  ``tests/test_parallel_stress.py``) per dashboard — data loads once,
-  and the engine's morsel thread pools are already process-wide
-  (``repro.engine.parallel.shared_pool``);
+  ``Database``; it keeps all execution state per call, and
+  ``tests/test_parallel_stress.py`` runs concurrent clients — traced
+  and plain — against both the default one-worker ``Database`` built
+  here and a ``parallelism=2`` one) per dashboard — data loads once,
+  and the engine's morsel thread pools, used when ``parallelism`` > 1,
+  are process-wide (``repro.engine.parallel.shared_pool``);
 * one locked :class:`~repro.core.cache.ResultCache` per dashboard, so a
   query any user ran (or any session prefetched) is a hit for every
   user of that dashboard;

@@ -66,7 +66,8 @@ class TestParallelEfficiencyRefit:
         ).parallel_efficiency
 
     def test_superlinear_speedup_clamps_to_one(self):
-        # BENCH_parallel.json's 7.05x at 4 workers inverts to 2.01
+        # the pre-merge BENCH_parallel.json's 7.05x at 4 workers (against
+        # the old per-group Python loop) inverts to 2.01
         assert self.refit(7.05) == 1.0
         assert self.refit(4.0) == 1.0
 

@@ -1,16 +1,20 @@
-"""Parallel-equals-serial property tests for the morsel-driven executor.
+"""Split-equals-unsplit property tests for the morsel-driven executor.
 
-The morsel executor (`repro.engine.parallel`) promises canonically
-*identical* output to the serial executor — same rows in the same order,
-with float SUM/AVG tolerated to summation-order precision.  These tests
-exercise that promise on the adversarial inputs where per-morsel
-decomposition is most likely to break:
+One executor (`repro.engine.executor`) runs every query; an operator
+whose input is larger than one morsel is cut into morsel tasks and
+merged.  That promises canonically *identical* output to running the
+kernel once — same rows in the same order, with float SUM/AVG tolerated
+to summation-order precision.  ``Database()`` below never splits (the
+tables are far under the default morsel), ``Database(parallelism=4,
+morsel_rows=5)`` always does; the tests exercise the promise on the
+adversarial inputs where per-morsel decomposition is most likely to
+break:
 
 * NULL and NaN group keys (NaN folds to NULL at load; both must land in
   the same group on every path);
 * empty tables, single rows, and morsel-boundary sizes M-1, M, M+1 and
   2M+1 (a tiny ``morsel_rows`` makes every size class reachable);
-* every decomposable aggregate, the non-decomposable serial fallbacks,
+* every decomposable aggregate, the gathered non-decomposable ones,
   sort, the per-morsel top-N merge, and joins.
 """
 
@@ -221,24 +225,11 @@ def test_serial_database_records_no_morsels():
     assert not any(node.get("morsels") for node in nodes)
 
 
-def test_explicit_knobs_beat_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_THREADS", "8")
-    monkeypatch.setenv("REPRO_MORSEL_ROWS", "1000")
-    db = Database(parallelism=2, morsel_rows=7)
-    assert db.parallelism == 2
-    assert db.morsel_rows == 7
-
-
-def test_environment_knobs_apply(monkeypatch):
-    monkeypatch.setenv("REPRO_THREADS", "3")
-    monkeypatch.setenv("REPRO_MORSEL_ROWS", "11")
-    db = Database()
-    assert db.parallelism == 3
-    assert db.morsel_rows == 11
-
-
 def test_invalid_parallelism_rejected():
     with pytest.raises(ValueError):
         Database(parallelism=0)
     with pytest.raises(ValueError):
         Database(morsel_rows=0)
+    db = Database(parallelism=2, morsel_rows=7)
+    assert (db.parallelism, db.morsel_rows) == (2, 7)
+    assert Database().parallelism == 1

@@ -103,3 +103,61 @@ class TestCorrectness:
             "SELECT x FROM t ORDER BY x LIMIT 10000"
         ).to_rows()
         assert len(rows) == 505
+
+
+class TestStablePrefix:
+    """``ORDER BY k [DESC] [NULLS FIRST|LAST] LIMIT n [OFFSET m]`` is the
+    ``[m, m+n)`` slice of the *stable* full sort — on the selection side
+    (``n + m`` under a quarter of the rows), on the truncated-full-sort
+    side, and on inputs below and above one morsel — checked against a
+    pure-Python stable sort, row identities included."""
+
+    MORSEL = 50
+
+    @staticmethod
+    def keys(kind, num_rows):
+        """Five distinct values (ties straddle every boundary), NULLs,
+        and for doubles NaN (folds to NULL at load)."""
+        rng = np.random.default_rng(num_rows)
+        draws = rng.integers(0, 7, num_rows)
+        if kind == "varchar":
+            return [None if d == 5 else "k%d" % d for d in draws]
+        return [None if d == 5 else float("nan") if d == 6
+                else float(d) - 2.0 for d in draws]
+
+    @staticmethod
+    def stable_order(values, descending, nulls_first):
+        if nulls_first is None:
+            nulls_first = descending  # Postgres: NULLs sort largest
+        rows = range(len(values))
+        missing = [row for row in rows
+                   if values[row] is None or values[row] != values[row]]
+        present = sorted(set(rows) - set(missing))
+        # list.sort is stable, also under reverse=True
+        present.sort(key=lambda row: values[row], reverse=descending)
+        return missing + present if nulls_first else present + missing
+
+    @pytest.mark.parametrize("kind", ["double", "varchar"])
+    @pytest.mark.parametrize("num_rows", [40, 230])
+    @pytest.mark.parametrize("side", ["selection", "full"])
+    def test_limit_is_a_slice_of_the_stable_sort(self, kind, num_rows, side):
+        values = self.keys(kind, num_rows)
+        database = Database(morsel_rows=self.MORSEL)
+        database.load_table("t", Table.from_columns(
+            i=[float(row) for row in range(num_rows)], k=values))
+        limit = num_rows // 8 if side == "selection" else num_rows // 3
+        for descending in (False, True):
+            for nulls_first in (None, True, False):
+                expect = self.stable_order(values, descending, nulls_first)
+                for offset in (0, 3):
+                    sql = 'SELECT "i" FROM "t" ORDER BY "k"{}{} LIMIT {}{}'
+                    sql = sql.format(
+                        " DESC" if descending else "",
+                        "" if nulls_first is None else
+                        " NULLS FIRST" if nulls_first else " NULLS LAST",
+                        limit,
+                        " OFFSET {}".format(offset) if offset else "",
+                    )
+                    got = [int(row["i"])
+                           for row in database.execute(sql).to_rows()]
+                    assert got == expect[offset:offset + limit], sql

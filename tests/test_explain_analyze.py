@@ -9,7 +9,11 @@ from repro.backends import EmbeddedBackend
 from repro.core import VegaPlus
 from repro.datagen import generate_flights
 from repro.engine.database import Database
-from repro.engine.executor import annotate_stats, stats_preorder
+from repro.engine.executor import (
+    MorselExecutor,
+    annotate_stats,
+    stats_preorder,
+)
 from repro.net import NetworkChannel
 from repro.spec import flights_histogram_spec
 
@@ -61,9 +65,10 @@ class TestEngineExplainAnalyze:
 
     def test_preorder_depths(self, db):
         plan = db.plan("SELECT b, COUNT(*) AS n FROM t GROUP BY b")
-        from repro.engine.executor import execute_with_stats
-
-        _, raw = execute_with_stats(plan, db.catalog)
+        _, raw, morsels, fallbacks = MorselExecutor().execute_with_stats(
+            plan, db.catalog
+        )
+        assert morsels == {} and fallbacks == {}
         annotated = annotate_stats(plan, raw, catalog=db.catalog)
         ordered = stats_preorder(plan, annotated)
         assert ordered[0]["depth"] == 0

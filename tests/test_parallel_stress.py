@@ -1,13 +1,15 @@
 """Concurrency stress tests: many client threads on one shared Database.
 
-The morsel executor keeps all per-query state in a per-call run object
-and the Database guards its query counter with a lock, so a single
-``Database(parallelism=2)`` instance must serve concurrent clients with
-(a) every result identical to a single-threaded reference and (b) exact
+The executor keeps all per-query state in a per-call run object and the
+Database guards its query counter with a lock, so a single ``Database``
+instance — the default one-worker one that ``repro.serve`` shares, and
+``Database(parallelism=2)`` — must serve concurrent clients with (a)
+every result identical to a single-threaded reference and (b) exact
 telemetry counter totals — no lost updates, no cross-query bleed.
 """
 
 import math
+import sys
 import threading
 
 import numpy as np
@@ -90,6 +92,70 @@ def test_shared_database_under_concurrent_clients():
 
     assert not failures, "\n".join(failures[:10])
     assert shared.queries_executed == CLIENT_THREADS * ROUNDS
+
+
+def test_default_database_mixes_traced_and_plain_queries():
+    """The default ``Database()`` under threads that mix EXPLAIN ANALYZE
+    with plain execution: no query may fail, every answer equals the
+    single-threaded one, and every analyzed plan carries exactly its own
+    nodes and cardinalities (execution state is per call, never shared)."""
+    shared = Database()
+    shared.load_table("t", build_table(num_rows=500, seed=17))
+
+    reference = {}
+    for sql in QUERIES:
+        table, nodes = shared.explain_analyze_data(sql)
+        reference[sql] = (
+            table.to_rows(),
+            [(node["label"], node["rows_in"], node["rows_out"])
+             for node in nodes],
+        )
+
+    clients = 4
+    rounds = 150
+    failures = []
+    barrier = threading.Barrier(clients)
+
+    def client(worker_index):
+        traced = worker_index % 2 == 0
+        barrier.wait(timeout=30)
+        for round_index in range(rounds):
+            sql = QUERIES[(worker_index + round_index) % len(QUERIES)]
+            rows, shape = reference[sql]
+            where = "client {} round {}".format(worker_index, round_index)
+            try:
+                if traced:
+                    table, nodes = shared.explain_analyze_data(sql)
+                    got_shape = [
+                        (node.get("label"), node.get("rows_in"),
+                         node.get("rows_out")) for node in nodes]
+                    if got_shape != shape:
+                        failures.append("{}: plan nodes bled: {}".format(
+                            where, got_shape))
+                else:
+                    table = shared.execute(sql)
+            except Exception as error:
+                failures.append("{}: {!r}".format(where, error))
+                continue
+            if not rows_match(rows, table.to_rows()):
+                failures.append("{} diverged on {}".format(where, sql))
+
+    threads = [threading.Thread(target=client, args=(index,))
+               for index in range(clients)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # force switches inside the plan walk
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, "{} failures, first: {}".format(
+        len(failures), failures[:5])
+    assert shared.queries_executed == clients * rounds + len(QUERIES)
 
 
 def test_shared_database_explain_analyze_concurrently():

@@ -1,29 +1,39 @@
-"""Adversarial equivalence wall for the vectorized morsel executor.
+"""Adversarial equivalence wall for the morsel executor.
 
-The parallel executor promises output *byte-identical* to serial —
-identical rows in identical order, identical dict key order, identical
-float bit patterns (``-0.0`` stays ``-0.0``) — with one carve-out:
-SUM/AVG merge partial sums, so their last bits may differ with
-summation order (asserted with a 1e-9 relative tolerance instead).
+One executor runs every query (``repro.engine.executor``); what differs
+between two databases is only whether an operator's input is split into
+morsels.  ``Database(parallelism=4, morsel_rows=7)`` splits everything
+here, ``Database()`` splits nothing, and the two must agree *byte for
+byte* — identical rows in identical order, identical dict key order,
+identical float bit patterns (``-0.0`` stays ``-0.0``) — with one
+carve-out: SUM/AVG merge partial sums, so their last bits may differ
+with summation order (asserted with a 1e-9 relative tolerance instead).
+
+Split and unsplit execution share the join and sort kernels, so the
+join, multi-key sort and top-N cases are additionally checked against
+SQLite (the fuzzer's independent reference, canonicalised with
+``repro.fuzz.normalize``).
 
 Every case here targets a specific way per-morsel decomposition could
-diverge from the serial path:
+diverge from the unsplit kernel:
 
 * NULL and NaN group keys straddling morsel boundaries (the local
-  factorize + merge re-factorization must place them in the serial
+  factorize + merge re-factorization must place them in the unsplit
   group order);
 * degenerate key distributions — every row its own group vs one group;
 * top-N ties crossing morsel boundaries (canonical row-index
   tie-break);
 * empty, single-row, and exact-morsel-multiple tables;
 * VARCHAR MIN/MAX (object-dtype segmented reduction + python merge);
-* a non-decomposable aggregate mid-plan (serial fallback under a
-  parallel filter), and the other recorded fallback reasons;
-* the parallel general sort (multi-key, mixed direction, NULLS
-  placement, VARCHAR keys) and its sorted-run merge;
-* the vectorized hash join (NULL/NaN keys, LEFT pads, VARCHAR keys,
-  boolean/double key coercion) and its type-mismatch fallback;
-* partition-parallel windows and parallel DISTINCT.
+* a non-decomposable aggregate mid-plan (gathered under a split
+  filter), and the other recorded gather-then-reduce reasons;
+* the general sort (multi-key, mixed direction, NULLS placement,
+  VARCHAR keys), its sorted-run merge, and a composite order code wider
+  than int64;
+* the code join (NULL/NaN keys, LEFT pads, VARCHAR keys, boolean/double
+  key coercion, VARCHAR against numeric keys, a build side without a
+  single eligible row, a composite key wider than int64);
+* partition-sharded windows and two-level DISTINCT.
 """
 
 import math
@@ -32,7 +42,9 @@ import struct
 import numpy as np
 import pytest
 
+from repro.backends import SQLiteBackend
 from repro.engine import Database, Table
+from repro.fuzz.normalize import canonical_cell, canonical_rows
 
 MORSEL = 7
 WORKERS = 4
@@ -88,8 +100,36 @@ def run_both(sql, tables, sum_avg_columns=()):
     return parallel_db
 
 
+def assert_matches_sqlite(sql, tables, ordered_by=None, same_rows=True,
+                          sqlite_sql=None):
+    """The unsplit answer (``run_both`` ties the split one to it) against
+    SQLite.  ``same_rows`` compares the row multisets in the fuzzer's
+    canonical form; ``ordered_by`` compares the sequence of those
+    columns' values in result order — the order among rows with equal
+    sort keys, and which of them a LIMIT keeps, is this engine's
+    contract, not SQL's.  ``sqlite_sql`` spells out the NULL placement
+    where ``sql`` relies on the Postgres default (SQLite's is the
+    opposite)."""
+    database = Database()
+    reference = SQLiteBackend()
+    for name, table in tables.items():
+        database.load_table(name, table)
+        reference.load_table(name, table)
+    got = database.execute(sql).to_rows()
+    expect = reference.execute(sqlite_sql or sql).table.to_rows()
+    if same_rows:
+        assert canonical_rows(got) == canonical_rows(expect), sql
+    if ordered_by is not None:
+        def sequence(rows):
+            return [tuple(canonical_cell(row[column])
+                          for column in ordered_by) for row in rows]
+
+        assert sequence(got) == sequence(expect), sql
+
+
 def fallback_reasons(parallel_db, sql):
-    """The serial-fallback reasons EXPLAIN ANALYZE recorded for ``sql``."""
+    """The gather-then-reduce reasons EXPLAIN ANALYZE recorded for
+    ``sql``."""
     _, nodes = parallel_db.explain_analyze_data(sql)
     return {node["fallback"] for node in nodes if node.get("fallback")}
 
@@ -268,6 +308,7 @@ def test_cross_morsel_topn_ties_break_by_row_index():
         'SELECT * FROM "t" ORDER BY "v" DESC LIMIT 5',
     ):
         run_both(sql, tables)
+        assert_matches_sqlite(sql, tables, ordered_by=["v"], same_rows=False)
 
 
 def test_topn_with_nulls_and_offset():
@@ -276,11 +317,16 @@ def test_topn_with_nulls_and_offset():
         v=[None if index % 5 == 0 else float(-(index % 11))
            for index in range(num_rows)],
     )}
-    for sql in (
-        'SELECT "v" FROM "t" ORDER BY "v" LIMIT 6',
-        'SELECT "v" FROM "t" ORDER BY "v" DESC LIMIT 6 OFFSET 3',
+    for sql, sqlite_sql in (
+        ('SELECT "v" FROM "t" ORDER BY "v" LIMIT 6',
+         'SELECT "v" FROM "t" ORDER BY "v" NULLS LAST LIMIT 6'),
+        ('SELECT "v" FROM "t" ORDER BY "v" DESC LIMIT 6 OFFSET 3',
+         'SELECT "v" FROM "t" ORDER BY "v" DESC NULLS FIRST '
+         'LIMIT 6 OFFSET 3'),
     ):
         run_both(sql, tables)
+        assert_matches_sqlite(sql, tables, ordered_by=["v"],
+                              sqlite_sql=sqlite_sql)
 
 
 def test_parallel_general_sort_multi_key():
@@ -295,18 +341,26 @@ def test_parallel_general_sort_multi_key():
            for _ in range(num_rows)],
         v=[float(index) for index in range(num_rows)],
     )}
-    for sql in (
-        'SELECT * FROM "t" ORDER BY "a", "b" DESC',
-        'SELECT * FROM "t" ORDER BY "a" DESC NULLS LAST, "b" ASC NULLS FIRST',
-        'SELECT * FROM "t" ORDER BY "b", "a" LIMIT 9',
+    for sql, sqlite_sql, same_rows in (
+        ('SELECT * FROM "t" ORDER BY "a", "b" DESC',
+         'SELECT * FROM "t" ORDER BY "a" NULLS LAST, "b" DESC NULLS FIRST',
+         True),
+        ('SELECT * FROM "t" ORDER BY "a" DESC NULLS LAST, '
+         '"b" ASC NULLS FIRST', None, True),
+        # which of the rows tied on ("b", "a") the LIMIT keeps is ours
+        ('SELECT * FROM "t" ORDER BY "b", "a" LIMIT 9',
+         'SELECT * FROM "t" ORDER BY "b" NULLS LAST, "a" NULLS LAST '
+         'LIMIT 9', False),
     ):
         run_both(sql, tables)
+        assert_matches_sqlite(sql, tables, ordered_by=["a", "b"],
+                              same_rows=same_rows, sqlite_sql=sqlite_sql)
 
 
-def test_sort_key_width_overflow_falls_back():
+def test_sort_key_width_overflow_stays_in_the_kernel():
     """Enough wide key columns to overflow the composite int64 code:
-    must fall back to the serial sort, record the reason, and still
-    match byte-for-byte."""
+    the order code is re-densified in place — no gather, no recorded
+    reason — and the order is the unsplit one and SQLite's."""
     num_rows = 3 * MORSEL
     rng = np.random.default_rng(11)
     # Cardinality is counted over values actually present, so with 21
@@ -320,7 +374,9 @@ def test_sort_key_width_overflow_falls_back():
     order = ", ".join('"c%d"' % position for position in range(16))
     sql = 'SELECT * FROM "t" ORDER BY {}'.format(order)
     parallel_db = run_both(sql, tables)
-    assert "sort_key_width" in fallback_reasons(parallel_db, sql)
+    assert fallback_reasons(parallel_db, sql) == set()
+    # "c0" is a permutation, so the whole row order is determined.
+    assert_matches_sqlite(sql, tables, ordered_by=sorted(columns))
 
 
 # --------------------------------------------------------------------------
@@ -349,21 +405,19 @@ def test_parallel_inner_join_with_duplicate_build_rows():
         label=["zero", "one-a", "one-b", "two", "null"],
     )
     tables = {"t": build_fact(4 * MORSEL + 3), "d": dims}
-    run_both(
-        'SELECT "t"."k", "t"."v", "d"."label" FROM "t" '
-        'JOIN "d" ON "t"."k" = "d"."k"',
-        tables,
-    )
+    sql = ('SELECT "t"."k", "t"."v", "d"."label" FROM "t" '
+           'JOIN "d" ON "t"."k" = "d"."k"')
+    run_both(sql, tables)
+    assert_matches_sqlite(sql, tables)
 
 
 def test_parallel_left_join_pads_after_matches():
     dims = Table.from_columns(k=[1.0, 3.0], label=["one", "three"])
     tables = {"t": build_fact(4 * MORSEL + 1), "d": dims}
-    run_both(
-        'SELECT "t"."k", "t"."v", "d"."label" FROM "t" '
-        'LEFT JOIN "d" ON "t"."k" = "d"."k"',
-        tables,
-    )
+    sql = ('SELECT "t"."k", "t"."v", "d"."label" FROM "t" '
+           'LEFT JOIN "d" ON "t"."k" = "d"."k"')
+    run_both(sql, tables)
+    assert_matches_sqlite(sql, tables)
 
 
 def test_parallel_join_varchar_keys():
@@ -379,17 +433,17 @@ def test_parallel_join_varchar_keys():
             label=["zero", "two", "four", "nine"],
         ),
     }
-    run_both(
-        'SELECT "t"."v", "d"."label" FROM "t" '
-        'JOIN "d" ON "t"."name" = "d"."name"',
-        tables,
-    )
+    sql = ('SELECT "t"."v", "d"."label" FROM "t" '
+           'JOIN "d" ON "t"."name" = "d"."name"')
+    run_both(sql, tables)
+    assert_matches_sqlite(sql, tables)
 
 
-def test_join_type_mismatch_falls_back():
-    """VARCHAR against DOUBLE keys: serial python equality never matches
-    mixed types either way, but the vectorized codes cannot express it —
-    the fallback must engage and agree with serial."""
+def test_join_type_mismatch_never_matches():
+    """VARCHAR against DOUBLE keys never compare equal (SQLite would
+    coerce the strings, so it is no reference here): the match set is
+    empty by construction, every left row is padded, and nothing is
+    gathered or recorded."""
     num_rows = 3 * MORSEL + 1
     tables = {
         "t": Table.from_columns(
@@ -401,7 +455,90 @@ def test_join_type_mismatch_falls_back():
     sql = ('SELECT "t"."v", "d"."label" FROM "t" '
            'LEFT JOIN "d" ON "t"."k" = "d"."k"')
     parallel_db = run_both(sql, tables)
-    assert "join_type_mismatch" in fallback_reasons(parallel_db, sql)
+    assert fallback_reasons(parallel_db, sql) == set()
+    rows = parallel_db.execute(sql).to_rows()
+    assert [row["v"] for row in rows] == [
+        float(index) for index in range(num_rows)]
+    assert {row["label"] for row in rows} == {None}
+
+
+@pytest.mark.parametrize("kind", ["JOIN", "LEFT JOIN"])
+@pytest.mark.parametrize("build_keys", [
+    pytest.param([], id="empty"),
+    pytest.param([None, None, None], id="all-null"),
+    pytest.param([float("nan"), None], id="nan-and-null"),
+])
+@pytest.mark.parametrize("num_rows", [5, 4 * MORSEL + 3])
+def test_join_against_build_side_without_eligible_rows(
+        kind, build_keys, num_rows):
+    """No build row can match (empty table, NULL/NaN keys only) while
+    the probe side has eligible rows: INNER yields nothing, LEFT pads
+    every row, on one probe task and on several."""
+    dims = Table.from_columns(
+        k=np.array(build_keys, dtype=np.float64)
+        if not build_keys else build_keys,
+        label=np.array([], dtype=object)
+        if not build_keys else ["d%d" % i for i in range(len(build_keys))],
+    )
+    tables = {"t": build_fact(num_rows), "d": dims}
+    sql = ('SELECT "t"."k", "t"."v", "d"."label" FROM "t" '
+           '{} "d" ON "t"."k" = "d"."k"'.format(kind))
+    parallel_db = run_both(sql, tables)
+    assert_matches_sqlite(sql, tables)
+    rows = parallel_db.execute(sql).to_rows()
+    if kind == "JOIN":
+        assert rows == []
+    else:
+        assert [row["v"] for row in rows] == [
+            float(index) for index in range(num_rows)]
+        assert {row["label"] for row in rows} == {None}
+
+
+@pytest.mark.parametrize("kind", ["JOIN", "LEFT JOIN"])
+def test_join_against_subquery_filtered_to_empty(kind):
+    tables = {
+        "t": build_fact(4 * MORSEL + 3),
+        "d": Table.from_columns(k=[0.0, 1.0, 2.0], label=["a", "b", "c"]),
+    }
+    sql = ('SELECT "t"."v", "e"."label" FROM "t" {} '
+           '(SELECT "k", "label" FROM "d" WHERE "k" > 99) AS "e" '
+           'ON "t"."k" = "e"."k"'.format(kind))
+    run_both(sql, tables)
+    assert_matches_sqlite(sql, tables)
+
+
+@pytest.mark.parametrize("kind", ["JOIN", "LEFT JOIN"])
+def test_join_key_width_overflow_stays_in_the_kernel(kind):
+    """The join twin of the sort overflow: sixteen key pairs of ~22
+    distinct values each take the composite join code past int64, so
+    both sides are re-densified together — no recorded reason, and the
+    matches (duplicates on the build side, near misses that differ in
+    the last key only) are the unsplit ones and SQLite's."""
+    num_rows = 3 * MORSEL
+    rng = np.random.default_rng(19)
+    names = ["c%d" % position for position in range(16)]
+    fact = {name: rng.permutation(num_rows).astype(float) for name in names}
+    picked = np.array([0, 5, 5, 11, 20])
+    dims = {name: fact[name][picked].copy() for name in names}
+    dims["c15"][-1] += 0.5  # row 20's twin differs in the last key only
+    tables = {
+        "t": Table.from_columns(
+            v=[float(index) for index in range(num_rows)],
+            **{name: list(values) for name, values in fact.items()}),
+        "d": Table.from_columns(
+            label=["d%d" % index for index in range(len(picked))],
+            **{name: list(values) for name, values in dims.items()}),
+    }
+    condition = " AND ".join(
+        '"t"."{0}" = "d"."{0}"'.format(name) for name in names)
+    sql = 'SELECT "t"."v", "d"."label" FROM "t" {} "d" ON {}'.format(
+        kind, condition)
+    parallel_db = run_both(sql, tables)
+    assert fallback_reasons(parallel_db, sql) == set()
+    assert_matches_sqlite(sql, tables)
+    matched = [row["v"] for row in parallel_db.execute(sql).to_rows()
+               if row["label"] is not None]
+    assert matched == [0.0, 5.0, 5.0, 11.0]
 
 
 # --------------------------------------------------------------------------
@@ -457,9 +594,9 @@ def test_parallel_distinct_first_occurrence_bytes():
 
 
 def test_nondecomposable_aggregate_mid_plan():
-    """MEDIAN forces the aggregate onto the serial kernel while the
-    filter below it still runs morsel-parallel — the handoff between the
-    paths must not disturb rows or group order."""
+    """MEDIAN has no mergeable partial state, so its input is gathered
+    while the filter below it still runs per morsel — the handoff must
+    not disturb rows or group order."""
     num_rows = 6 * MORSEL + 1
     rng = np.random.default_rng(17)
     tables = {"t": Table.from_columns(
