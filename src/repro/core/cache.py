@@ -19,7 +19,6 @@ import threading
 from collections import OrderedDict
 
 from repro.metrics import NULL
-from repro.telemetry.tracer import NOOP
 
 
 class CacheEntry:
@@ -80,8 +79,6 @@ class ResultCache:
         self.evictions = 0
         #: bytes evicted over the cache's lifetime
         self.evicted_bytes = 0
-        #: telemetry sink; the session installs its tracer here
-        self.tracer = NOOP
         #: always-on plane; the session installs its labeled MetricsView
         self.metrics = NULL
 
@@ -99,12 +96,10 @@ class ResultCache:
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
-                self.tracer.count("cache.misses")
                 self.metrics.inc("cache.misses")
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            self.tracer.count("cache.hits")
             self.metrics.inc("cache.hits")
             return entry
 
@@ -130,23 +125,15 @@ class ResultCache:
             if entry is None:
                 return
             self._bytes -= entry.wire_bytes
-            self.tracer.count("cache.bytes", delta=-entry.wire_bytes)
             self.metrics.set_gauge("cache.bytes", self._bytes)
 
     def put(self, key, entry):
         with self._lock:
             if key in self._entries:
                 self._bytes -= self._entries[key].wire_bytes
-                self.tracer.count("cache.bytes",
-                                  delta=-self._entries[key].wire_bytes)
                 del self._entries[key]
             self._entries[key] = entry
             self._bytes += entry.wire_bytes
-            # ``cache.bytes`` tracks the resident byte size as a net
-            # counter: every put adds, every eviction/clear subtracts.  On
-            # the metrics plane the same quantity is a gauge set to the
-            # resident size.
-            self.tracer.count("cache.bytes", delta=entry.wire_bytes)
             self._evict()
             self.metrics.set_gauge("cache.bytes", self._bytes)
 
@@ -159,14 +146,10 @@ class ResultCache:
             self._bytes -= evicted.wire_bytes
             self.evictions += 1
             self.evicted_bytes += evicted.wire_bytes
-            self.tracer.count("cache.evictions")
-            self.tracer.count("cache.bytes", delta=-evicted.wire_bytes)
             self.metrics.inc("cache.evictions")
 
     def clear(self):
         with self._lock:
-            if self._bytes:
-                self.tracer.count("cache.bytes", delta=-self._bytes)
             self._entries.clear()
             self._bytes = 0
             self.metrics.set_gauge("cache.bytes", 0)

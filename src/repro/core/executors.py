@@ -251,7 +251,6 @@ class ServerSegmentRunner:
                          server_seconds=result.seconds)
                 if nodes:
                     _graft_plan_nodes(tracer, nodes)
-                tracer.observe("sql.server_seconds", result.seconds)
         else:
             result = self.backend.execute(sql)
         batch = result.table
@@ -339,34 +338,38 @@ def _graft_plan_nodes(tracer, nodes):
 
     Node times are inclusive of children, so a child span laid at its
     parent's start always fits; siblings (join inputs) are laid out
-    sequentially to keep the single-lane nesting valid.  Nodes the
-    morsel-driven executor split additionally get one ``engine:morsel``
-    child span per morsel plus worker-utilization counters.
+    sequentially, each starting on the very float its predecessor ended
+    on, so the single-lane nesting stays valid however an exporter
+    rounds.  A node that gathered its input before reducing carries the
+    reason as a ``fallback`` attribute, and nodes the morsel-driven
+    executor split additionally get one ``engine:morsel`` child span per
+    morsel.
     """
     anchor = tracer.current_span()
     spans = []
-    offsets = {}
+    cursors = {}
     for node in nodes:
         parent_index = node.get("parent")
         parent = anchor if parent_index is None else spans[parent_index]
-        base = parent.start if parent is not None else 0.0
-        offset = offsets.get(id(parent), 0.0)
+        start = cursors.get(id(parent))
+        if start is None:
+            start = parent.start if parent is not None else 0.0
         seconds = node.get("seconds", 0.0)
         span = tracer.measured_span(
             "engine:" + node.get("label", "node").split()[0],
             seconds,
-            start=base + offset,
+            start=start,
             parent=parent,
             label=node.get("label", ""),
             rows_in=node.get("rows_in"),
             rows_out=node.get("rows_out"),
             self_seconds=node.get("self_seconds"),
         )
-        offsets[id(parent)] = offset + seconds
+        cursors[id(parent)] = span.end
         spans.append(span)
         fallback = node.get("fallback")
         if fallback:
-            tracer.count("engine.fallback.{}".format(fallback))
+            span.set(fallback=fallback)
         morsels = node.get("morsels") or ()
         if morsels:
             _graft_morsels(tracer, span, seconds, morsels)
@@ -380,33 +383,29 @@ def _graft_morsels(tracer, node_span, node_seconds, morsels):
     node's wall time; on the single-lane trace they are laid out
     sequentially, compressed to fit inside the node span when needed
     (each morsel's true duration stays in its ``morsel_seconds``
-    attribute).
+    attribute, the thread that ran it in ``worker``).  Each starts where
+    its predecessor ended and none ends after the node.
     """
     total = sum(record.get("seconds", 0.0) for record in morsels)
     scale = 1.0 if total <= node_seconds or total <= 0.0 else (
         node_seconds / total
     )
-    tracer.count("engine.parallel_nodes")
-    offset = 0.0
+    cursor = node_span.start
     for record in morsels:
         seconds = record.get("seconds", 0.0)
-        worker = record.get("worker", 0)
-        tracer.measured_span(
+        span = tracer.measured_span(
             "engine:morsel",
             seconds * scale,
-            start=node_span.start + offset,
+            start=cursor,
             parent=node_span,
             op=record.get("op"),
             index=record.get("index"),
-            worker=worker,
+            worker=record.get("worker", 0),
             rows_in=record.get("rows_in"),
             rows_out=record.get("rows_out"),
             morsel_seconds=seconds,
         )
-        offset += seconds * scale
-        tracer.count("engine.morsels")
-        tracer.count("engine.worker.{}.morsels".format(worker))
-        tracer.observe("engine.morsel_seconds", seconds)
+        cursor = span.end = min(span.end, node_span.end)
 
 
 def _lookup_table_for(operator, backend):

@@ -19,6 +19,7 @@ the prefetcher — the full middleware stack of Figure 1.  Typical use::
     result = session.interact("maxbins", 30)
 """
 
+import collections
 import itertools
 import time
 
@@ -39,16 +40,16 @@ from repro.planner import (
     resolve_chain,
     signal_frontier,
 )
-from repro.metrics import (
-    BRIDGE_SKIP_PREFIXES,
-    NULL as NULL_METRICS,
-    resolve_metrics,
-)
+from repro.metrics import NULL as NULL_METRICS, resolve_metrics
 from repro.planner.plans import CostBreakdown, DatasetPlan
 from repro.telemetry.tracer import as_tracer
 
 #: process-wide source of default session ids (the ``session=`` label)
 _SESSION_IDS = itertools.count(1)
+
+#: how many of the most recent RunResults a session keeps (each holds
+#: every sink's rows, and a pooled serving session lives for days)
+HISTORY_RESULTS = 32
 
 
 class SessionError(Exception):
@@ -102,12 +103,6 @@ class VegaPlus:
             if tenant is not None:
                 labels["tenant"] = tenant
             self.metrics = registry.view(**labels)
-        if self.tracer.enabled and self.metrics.enabled:
-            # Bridge traced-only telemetry (engine.*, data.*, ...) onto
-            # the metrics plane; directly instrumented families are
-            # skipped so they never double-count.
-            self.tracer.metrics = self.metrics
-            self.tracer.metrics_skip = BRIDGE_SKIP_PREFIXES
         #: when False, every transform runs row-at-a-time (the
         #: pre-columnar client path); the fuzz oracle differences the
         #: two modes
@@ -180,17 +175,13 @@ class VegaPlus:
         }
         #: pass ``cache=`` to share one (locked) ResultCache across
         #: sessions — the serving layer's cross-user cache.  The session
-        #: only installs its own tracer/metrics sinks on a cache it owns;
-        #: a shared cache keeps whatever sinks its owner installed so
+        #: only installs its own metrics sink on a cache it owns; a
+        #: shared cache keeps whatever sink its owner installed so
         #: counters are not re-labeled by the last session to attach.
-        self._owns_cache = cache is None
         self.cache = cache if cache is not None else ResultCache(
             max_entries=cache_entries)
-        if self._owns_cache:
-            if self.tracer.enabled:
-                self.cache.tracer = self.tracer
-            if self.metrics.enabled:
-                self.cache.metrics = self.metrics
+        if cache is None and self.metrics.enabled:
+            self.cache.metrics = self.metrics
         self.prefetcher = Prefetcher(budget=prefetch_budget)
         #: data-tile index for brush interactions: False/None = off,
         #: True = cost-model gated ("auto"), or "force" to always tile
@@ -200,11 +191,12 @@ class VegaPlus:
             from repro.tiles import TileIndexManager
 
             mode = tiles if isinstance(tiles, str) else "auto"
-            self.tiles = TileIndexManager(mode=mode, tracer=self.tracer,
-                                          metrics=self.metrics)
+            self.tiles = TileIndexManager(mode=mode, metrics=self.metrics)
         self.plan = None
         self._sink_states = {}
-        self.history = []
+        #: the most recent HISTORY_RESULTS RunResults, oldest first
+        self.history = collections.deque(maxlen=HISTORY_RESULTS)
+        self._runs = 0
         #: §2.2 step 4: per-interaction plan choice between the startup
         #: plan and a re-partitioned candidate, based on the cache state
         self.dynamic_replan = dynamic_replan
@@ -320,13 +312,14 @@ class VegaPlus:
         result.cache_hits = self.cache.hits - hits_before
         result.cache_misses = self.cache.misses - misses_before
         self._record_run(label, result)
-        self.history.append(result)
         return result
 
     def _record_run(self, label, result):
-        """SLO accounting for one run: count it and observe its modeled
-        end-to-end latency, labeled by run kind (``startup``,
-        ``interact``, ``append``, ``vega-client``, ...)."""
+        """Keep the result, and SLO accounting for one run: count it and
+        observe its modeled end-to-end latency, labeled by run kind
+        (``startup``, ``interact``, ``append``, ``vega-client``, ...)."""
+        self.history.append(result)
+        self._runs += 1
         if not self.metrics.enabled:
             return
         kind = label.split(":", 1)[0]
@@ -568,7 +561,6 @@ class VegaPlus:
         result.cache_hits = self.cache.hits - hits_before
         result.cache_misses = self.cache.misses - misses_before
         self._record_run(label, result)
-        self.history.append(result)
         return result
 
     def _pick_interaction_plan(self, signal):
@@ -745,7 +737,7 @@ class VegaPlus:
     def stats(self):
         """One snapshot dict of every session-level counter: cache
         hits/misses/evictions/bytes, network aggregates (plus dropped log
-        records), prefetcher state, and run history size.  Included in
+        records), prefetcher state, and the number of runs.  Included in
         trace exports (see :meth:`export_trace`)."""
         return {
             "cache": self.cache.stats(),
@@ -756,7 +748,7 @@ class VegaPlus:
                 "prefetched": self.prefetcher.prefetched,
             },
             "tiles": self.tiles.stats() if self.tiles is not None else None,
-            "runs": len(self.history),
+            "runs": self._runs,
             "session": {
                 "id": self.session_id,
                 "tenant": self.tenant,

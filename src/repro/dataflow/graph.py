@@ -188,14 +188,12 @@ class Dataflow:
                         changed=bool(pulse.changed) if pulse is not None
                         else False,
                     )
-                if source_pulse.batch is not None:
-                    # did the columnar input survive this operator, or did
-                    # it (or a fallback) force the dict-row view?
-                    if pulse is not None and pulse.batch is not None \
-                            and not source_pulse.materialized:
-                        self.tracer.count("data.batch_passthrough")
-                    else:
-                        self.tracer.count("data.rows_materialized")
+                    if source_pulse.batch is not None:
+                        # did the columnar input survive this operator, or
+                        # did it (or a fallback) force the dict-row view?
+                        span.set(materialized=pulse is None
+                                 or pulse.batch is None
+                                 or source_pulse.materialized)
             else:
                 operator.evaluate(source_pulse, self.signals)
             evaluated.append(operator)

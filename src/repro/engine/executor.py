@@ -36,7 +36,7 @@ answer.
 
 Three inputs have no per-morsel form and are gathered, then reduced by
 the unsplit kernel; the reason is recorded per plan node (EXPLAIN
-ANALYZE ``fallback``) and counted as ``engine.fallback.<reason>``:
+ANALYZE ``fallback``) and counted as ``engine.fallback{reason=}``:
 
 =========================== ==============================================
 reason                      trigger

@@ -53,13 +53,6 @@ from repro.metrics.slowlog import (
     plan_signature,
 )
 
-#: tracer counter/histogram name prefixes the bridge must NOT forward —
-#: these call sites are directly instrumented on the always-on plane, so
-#: forwarding them again from a recording tracer would double-count
-BRIDGE_SKIP_PREFIXES = (
-    "cache.", "net.", "tiles.", "sql.", "session.", "engine.fallback.",
-)
-
 #: the process-wide default registry (the "always-on" in the title)
 REGISTRY = MetricsRegistry()
 
@@ -86,7 +79,6 @@ def resolve_metrics(value):
 
 
 __all__ = [
-    "BRIDGE_SKIP_PREFIXES",
     "Counter",
     "DEFAULT_BUCKETS",
     "DEFAULT_WINDOW_BUCKETS",

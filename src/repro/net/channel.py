@@ -130,9 +130,6 @@ class NetworkChannel:
                 label=label, request_bytes=int(request_bytes),
                 response_bytes=int(response_bytes), virtual_seconds=seconds,
             )
-            self.tracer.count("net.round_trips")
-            self.tracer.count("net.bytes_received", int(response_bytes))
-            self.tracer.observe("net.round_trip_seconds", seconds)
         if self.metrics.enabled:
             self.metrics.inc("net.round_trips")
             self.metrics.inc("net.bytes_sent", int(request_bytes))

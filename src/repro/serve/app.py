@@ -42,9 +42,13 @@ from repro.serve.pool import PoolError, SessionPool
 #: HTTP reason phrases for the statuses the app emits
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 429: "Too Many Requests",
-    500: "Internal Server Error",
+    405: "Method Not Allowed", 413: "Payload Too Large",
+    429: "Too Many Requests", 500: "Internal Server Error",
 }
+
+#: largest request body read off a socket; interaction bodies are a few
+#: hundred bytes, anything above this is answered 413 unread
+MAX_BODY_BYTES = 1 << 20
 
 DEFAULT_TENANT = "default"
 
@@ -145,14 +149,29 @@ class ServingApp:
                         break
                     key, _, value = line.decode("latin-1").partition(":")
                     headers[key.strip().lower()] = value.strip()
-                length = int(headers.get("content-length") or 0)
-                body = await reader.readexactly(length) if length else b""
-
-                status, payload, content_type, extra = await self._route(
-                    method, path.split("?", 1)[0], headers, body
-                )
+                try:
+                    length = int(headers.get("content-length") or 0)
+                except ValueError:
+                    length = -1
+                if length < 0:
+                    response = self._json(
+                        400, {"error": "malformed Content-Length"})
+                elif length > MAX_BODY_BYTES:
+                    response = self._json(413, {
+                        "error": "body exceeds {} bytes".format(
+                            MAX_BODY_BYTES)})
+                else:
+                    body = await reader.readexactly(length) if length \
+                        else b""
+                    response = await self._route(
+                        method, path.split("?", 1)[0], headers, body
+                    )
+                status, payload, content_type, extra = response
+                # A refused body stays unread, so the stream has lost its
+                # framing: answer, then close.
                 keep_alive = (
-                    version == "HTTP/1.1"
+                    0 <= length <= MAX_BODY_BYTES
+                    and version == "HTTP/1.1"
                     and headers.get("connection", "").lower() != "close"
                 )
                 head = [

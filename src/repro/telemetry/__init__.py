@@ -1,10 +1,11 @@
-"""End-to-end telemetry: tracing spans, metrics, exports, cost audit.
+"""End-to-end telemetry: tracing spans, exports, cost audit.
 
 The measurement layer the cost model is graded against: a zero-dependency
 tracer (:class:`Tracer`) producing nested spans with wall/CPU time and
-attributes, counters and histograms, exportable as structured JSON or as
-Chrome ``trace_event`` files; plus the cost-model misprediction report
-(:func:`audit_session`).
+attributes, exportable as structured JSON or as Chrome ``trace_event``
+files; plus the cost-model misprediction report (:func:`audit_session`).
+Counters, gauges and histograms live in :mod:`repro.metrics` and only
+there.
 
 Tracing is off by default — the shared :data:`NOOP` tracer swallows every
 call — and enabled per session with ``VegaPlus(..., trace=True)`` or per
@@ -26,8 +27,6 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.tracer import (
     NOOP,
-    Counter,
-    Histogram,
     NoopTracer,
     Span,
     TickClock,
@@ -37,8 +36,6 @@ from repro.telemetry.tracer import (
 
 __all__ = [
     "AuditEntry",
-    "Counter",
-    "Histogram",
     "MispredictionReport",
     "NOOP",
     "NoopTracer",

@@ -2,27 +2,20 @@
 
 The Chrome format loads directly into ``chrome://tracing`` or Perfetto:
 each finished span becomes a complete ("X") event with microsecond
-timestamps; counters become metadata events.  Nesting is conveyed by time
-containment on a single thread, which :func:`validate_chrome_trace`
-checks structurally (it is what the CI job asserts on a real session's
-export).
+timestamps.  Nesting is conveyed by time containment on a single thread,
+which :func:`validate_chrome_trace` checks structurally (it is what the
+CI job asserts on a real session's export).  Counted numbers are not the
+tracer's to keep: both formats embed the session's ``stats()`` snapshot.
 """
 
 import json
 
 
 def to_json(tracer, stats=None):
-    """Full structured dump: spans, counters, histograms, metadata."""
+    """Full structured dump: spans, metadata, the stats snapshot."""
     return {
         "trace_id": tracer.trace_id,
         "spans": [span.as_dict() for span in _by_start(tracer.spans)],
-        "counters": {
-            name: counter.value for name, counter in tracer.counters.items()
-        },
-        "histograms": {
-            name: histogram.as_dict()
-            for name, histogram in tracer.histograms.items()
-        },
         "metadata": dict(tracer.metadata),
         "stats": stats if stats is not None else {},
     }
@@ -36,6 +29,10 @@ def to_chrome_trace(tracer, stats=None):
     channel accounts time without sleeping, so a 40ms transfer can live
     inside a 7ms wall-clock parent) go to lane 2, laid out sequentially
     on their own virtual timeline.
+
+    ``dur`` is the rounded end minus the rounded start, not the rounded
+    duration: rounding every instant with the one monotone function keeps
+    abutting spans abutting and nested spans nested in the export.
     """
     spans = _by_start(tracer.spans)
     base = spans[0].start if spans else 0.0
@@ -54,15 +51,16 @@ def to_chrome_trace(tracer, stats=None):
             has_virtual = True
             ts = base + virtual_cursor
             virtual_cursor += span.wall
+            end = base + virtual_cursor
         else:
-            ts = span.start
+            ts, end = span.start, span.end
         events.append(
             {
                 "name": span.name,
                 "cat": span.name.split(".")[0].split(":")[0],
                 "ph": "X",
-                "ts": round(ts * 1e6, 3),
-                "dur": round(span.wall * 1e6, 3),
+                "ts": _micros(ts),
+                "dur": round(_micros(end) - _micros(ts), 3),
                 "pid": 1,
                 "tid": 2 if virtual else 1,
                 "args": args,
@@ -78,17 +76,6 @@ def to_chrome_trace(tracer, stats=None):
                 "name": "thread_name", "ph": "M", "ts": 0, "pid": 1,
                 "tid": 2, "args": {"name": "network (virtual clock)"},
             })
-    for name, counter in sorted(tracer.counters.items()):
-        events.append(
-            {
-                "name": name,
-                "cat": "counter",
-                "ph": "C",
-                "ts": events[-1]["ts"] if events else 0,
-                "pid": 1,
-                "args": {"value": counter.value},
-            }
-        )
     document = {
         "traceEvents": events,
         "displayTimeUnit": "ms",
@@ -170,6 +157,10 @@ def validate_chrome_trace(document):
                 continue
             stack.append((start, end, name))
     return problems
+
+
+def _micros(seconds):
+    return round(seconds * 1e6, 3)
 
 
 def _by_start(spans):

@@ -1,11 +1,13 @@
-"""Zero-dependency tracer: nested spans, counters, histograms.
+"""Zero-dependency tracer: nested spans, and nothing else.
 
 The middleware's cost model *estimates* where a session spends its time;
 this tracer *measures* it.  A :class:`Tracer` produces nested spans (trace
 id, parent id, wall and CPU time, free-form attributes) via a context-
-manager/decorator API, plus monotonic counters and fixed-bucket
-histograms.  Everything is plain Python and deterministic under an
-injected clock, so exports are stable in tests.
+manager/decorator API.  It keeps no counters or histograms: a number is
+written once, to the metrics registry (:mod:`repro.metrics`), and what a
+span can say about its own work (rows, worker, fallback reason) rides on
+the span as an attribute.  Everything is plain Python and deterministic
+under an injected clock, so exports are stable in tests.
 
 Tracing is off by default: the module-level :data:`NOOP` tracer swallows
 every call with near-zero overhead (one attribute check per call site on
@@ -14,7 +16,6 @@ the hot paths), so instrumented code needs no conditionals beyond
 """
 
 import functools
-import threading
 import time
 
 
@@ -88,65 +89,6 @@ class Span:
         )
 
 
-class Counter:
-    """A monotonic named counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name):
-        self.name = name
-        self.value = 0
-
-    def add(self, delta=1):
-        self.value += delta
-        return self.value
-
-
-class Histogram:
-    """Streaming value distribution: count/sum/min/max plus log-spaced
-    bucket counts (powers of ten from 1us to 100s)."""
-
-    _BOUNDS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
-
-    __slots__ = ("name", "count", "total", "minimum", "maximum", "buckets")
-
-    def __init__(self, name):
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.minimum = None
-        self.maximum = None
-        self.buckets = [0] * (len(self._BOUNDS) + 1)
-
-    def record(self, value):
-        value = float(value)
-        self.count += 1
-        self.total += value
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
-        for index, bound in enumerate(self._BOUNDS):
-            if value <= bound:
-                self.buckets[index] += 1
-                return
-        self.buckets[-1] += 1
-
-    @property
-    def mean(self):
-        return self.total / self.count if self.count else 0.0
-
-    def as_dict(self):
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.minimum,
-            "max": self.maximum,
-            "mean": self.mean,
-            "buckets": list(self.buckets),
-        }
-
-
 class TickClock:
     """Deterministic clock for tests: every call advances by ``step``."""
 
@@ -160,32 +102,16 @@ class TickClock:
         return value
 
 
-class _NullMetricsSink:
-    """Default (disabled) target of the tracer->metrics bridge.  A local
-    stub rather than :data:`repro.metrics.NULL` so the telemetry layer
-    keeps zero imports from the metrics package."""
-
-    __slots__ = ()
-
-    enabled = False
-
-    def inc(self, name, delta=1, **labels):
-        pass
-
-    def observe(self, name, value, **labels):
-        pass
-
-
-_NULL_METRICS = _NullMetricsSink()
-
-
 class Tracer:
     """A recording tracer.
 
     ``clock``/``cpu_clock`` are zero-argument callables returning seconds;
     inject :class:`TickClock` for deterministic ids and timestamps.
     ``trace_id`` defaults to a stable literal so exports are reproducible;
-    pass one per session if correlation across sessions matters.
+    pass one per session if correlation across sessions matters.  Not
+    thread-safe: open and close spans on the session thread only (engine
+    workers hand their timings back as data and the session thread grafts
+    them in with :meth:`measured_span`).
     """
 
     enabled = True
@@ -195,23 +121,9 @@ class Tracer:
         self.clock = clock or time.perf_counter
         self.cpu_clock = cpu_clock or time.process_time
         self.spans = []          # finished spans, in completion order
-        self.counters = {}
-        self.histograms = {}
         self._next_id = 1
         self._stack = []         # open spans (current last)
         self.metadata = {}       # free-form, included in exports
-        #: bridge to the always-on metrics plane: when a session installs
-        #: its MetricsView here, every counter/histogram update forwards
-        #: as a labeled metric — except names under ``metrics_skip``
-        #: prefixes, whose call sites are directly instrumented on the
-        #: metrics plane already (forwarding them would double-count)
-        self.metrics = _NULL_METRICS
-        self.metrics_skip = ()
-        # Counters and histograms may be updated from engine worker
-        # threads (morsel-driven execution); guard them so totals stay
-        # exact.  Spans remain single-threaded: open/close them on the
-        # session thread only.
-        self._metrics_lock = threading.Lock()
 
     # -- spans ----------------------------------------------------------------
 
@@ -289,26 +201,6 @@ class Tracer:
 
         return decorate
 
-    # -- metrics ---------------------------------------------------------------
-
-    def count(self, name, delta=1):
-        with self._metrics_lock:
-            counter = self.counters.get(name)
-            if counter is None:
-                counter = self.counters[name] = Counter(name)
-            counter.add(delta)
-        if self.metrics.enabled and not name.startswith(self.metrics_skip):
-            self.metrics.inc(name, delta)
-
-    def observe(self, name, value):
-        with self._metrics_lock:
-            histogram = self.histograms.get(name)
-            if histogram is None:
-                histogram = self.histograms[name] = Histogram(name)
-            histogram.record(value)
-        if self.metrics.enabled and not name.startswith(self.metrics_skip):
-            self.metrics.observe(name, value)
-
     # -- introspection ---------------------------------------------------------
 
     def find_spans(self, name=None, prefix=None):
@@ -327,8 +219,6 @@ class Tracer:
 
     def clear(self):
         self.spans = []
-        self.counters = {}
-        self.histograms = {}
         self._stack = []
         self._next_id = 1
 
@@ -364,8 +254,6 @@ class NoopTracer:
     enabled = False
     trace_id = "noop"
     spans = ()
-    counters = {}
-    histograms = {}
     metadata = {}
 
     def span(self, name, **attributes):
@@ -383,12 +271,6 @@ class NoopTracer:
             return fn
 
         return decorate
-
-    def count(self, name, delta=1):
-        pass
-
-    def observe(self, name, value):
-        pass
 
     def find_spans(self, name=None, prefix=None):
         return []

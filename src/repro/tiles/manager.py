@@ -24,7 +24,6 @@ from repro.expr.evaluator import Evaluator, _boolean, _number
 from repro.metrics import NULL as NULL_METRICS
 from repro.planner.costmodel import should_use_tiles
 from repro.planner.plans import CostBreakdown
-from repro.telemetry.tracer import NOOP
 from repro.tiles.build import (
     TILE_RESOLUTION,
     TileBuildError,
@@ -58,15 +57,13 @@ class _TileState:
 class TileIndexManager:
     """Owns every tile cube of one session."""
 
-    def __init__(self, mode="auto", resolution=TILE_RESOLUTION, tracer=None,
-                 metrics=None):
+    def __init__(self, mode="auto", resolution=TILE_RESOLUTION, metrics=None):
         #: "auto" = cost-model gated, "force" = always tile when eligible
         self.mode = mode
         self.resolution = resolution
-        #: the session's tracer may be a no-op, so the manager keeps its
-        #: own integer counters for stats()/explain()
-        self.tracer = tracer or NOOP
-        #: always-on plane; the session passes its labeled MetricsView
+        #: always-on plane; the session passes its labeled MetricsView.
+        #: It may be off, so the manager keeps its own integer counters
+        #: for stats()/explain()
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self._states = {}
         self._generation = 0
@@ -116,14 +113,12 @@ class TileIndexManager:
         memberships = self._memberships(session, candidate, cube)
         if memberships is None:
             self.unaligned += 1
-            self.tracer.count("tiles.unaligned")
             self.metrics.inc("tiles.unaligned")
             return None
         # the counterpart of tiles.unaligned: brush bounds that landed on
         # the grid (organically or via a snap hint), so the ratio of the
         # two counters measures how well clients exploit snapping
         self.aligned += 1
-        self.tracer.count("tiles.aligned")
         self.metrics.inc("tiles.aligned")
         batch = slice_result(
             cube, memberships, candidate.measures, candidate.groupby)
@@ -156,8 +151,6 @@ class TileIndexManager:
             sink_state.cut_executed = None
         self.hits += 1
         entry.slices += 1
-        self.tracer.count("tiles.hit")
-        self.tracer.observe("tiles.slice_seconds", elapsed)
         self.metrics.inc("tiles.hit")
         self.metrics.observe("tiles.slice_seconds", elapsed)
         result.breakdown = result.breakdown + CostBreakdown(
@@ -199,7 +192,6 @@ class TileIndexManager:
             entry.cube = None
             entry.cache_key = None
             self.evicted_rebuilds += 1
-            self.tracer.count("tiles.evicted")
             self.metrics.inc("tiles.evicted")
         start = time.perf_counter()
         try:
@@ -208,18 +200,14 @@ class TileIndexManager:
         except TileBuildError:
             entry.dead = True
             self.build_failures += 1
-            self.tracer.count("tiles.build_failed")
             self.metrics.inc("tiles.build_failed")
             return None
         entry.build_seconds = time.perf_counter() - start
         self.builds += 1
-        self.tracer.count("tiles.build")
-        self.tracer.observe("tiles.build_seconds", entry.build_seconds)
         self.metrics.inc("tiles.build")
         self.metrics.observe("tiles.build_seconds", entry.build_seconds)
         size = cube.nbytes()
         self.bytes_built += size
-        self.tracer.count("tiles.bytes", delta=size)
         self.metrics.inc("tiles.bytes_built", size)
         self._generation += 1
         entry.cache_key = "tiles:{}#{}".format(
@@ -303,7 +291,6 @@ class TileIndexManager:
                 patched = False
             if patched:
                 self.deltas += 1
-                self.tracer.count("tiles.delta")
                 self.metrics.inc("tiles.delta")
                 session.cache.put(entry.cache_key, CacheEntry(
                     rows=[], wire_bytes=entry.cube.nbytes(),
@@ -421,7 +408,6 @@ class TileIndexManager:
         entry.cache_key = None
         entry.decision = None  # data/signals moved; re-decide
         self.invalidations += 1
-        self.tracer.count("tiles.invalidated")
         self.metrics.inc("tiles.invalidated")
 
     def reset(self):

@@ -146,6 +146,23 @@ class TestInteractions:
         assert session.results("stacked")
 
 
+class TestHistory:
+    def test_history_is_bounded_and_runs_stay_exact(self):
+        from repro.core.session import HISTORY_RESULTS
+
+        session = VegaPlus(
+            flights_histogram_spec(),
+            data={"flights": generate_flights(500)},
+        )
+        session.startup()
+        events = 300
+        for index in range(events):
+            result = session.interact("maxbins", 10 + index % 7)
+        assert len(session.history) == HISTORY_RESULTS < events
+        assert session.last_result() is result
+        assert session.stats()["runs"] == events + 1
+
+
 class TestPrefetch:
     def test_prefetch_populates_cache(self, session):
         session.startup()

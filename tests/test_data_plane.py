@@ -11,9 +11,9 @@ Three guarantees the batch refactor must keep:
   request path never converts batch -> rows -> batch; asserted directly
   against the module sources so a regression is caught even if it only
   costs performance, not correctness.
-* **Passthrough is observable** — a traced session counts
-  ``data.batch_passthrough`` / ``data.rows_materialized`` so fallbacks
-  are visible in telemetry, not silent.
+* **Passthrough is observable** — a traced session marks every
+  ``pulse:<operator>`` span ``materialized=True/False`` so fallbacks are
+  visible in telemetry, not silent.
 """
 
 import math
@@ -190,15 +190,20 @@ class TestPassthroughTelemetry:
         session.run_client_only()
         return session
 
+    @staticmethod
+    def _materialized(session):
+        """The ``materialized`` attribute of every pulse span whose input
+        arrived as a batch."""
+        return [span.attributes["materialized"]
+                for span in session.tracer.find_spans(prefix="pulse:")
+                if "materialized" in span.attributes]
+
     def test_columnar_session_counts_passthrough(self):
-        counters = self._session(columnar=True).tracer.counters
-        assert counters["data.batch_passthrough"].value > 0
+        assert False in self._materialized(self._session(columnar=True))
 
     def test_rowwise_session_counts_materialization(self):
-        counters = self._session(columnar=False).tracer.counters
-        assert counters.get("data.batch_passthrough") is None \
-            or counters["data.batch_passthrough"].value == 0
-        assert counters["data.rows_materialized"].value > 0
+        flags = self._materialized(self._session(columnar=False))
+        assert flags and all(flags)
 
     def test_columnar_modes_agree_end_to_end(self):
         results = {}

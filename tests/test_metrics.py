@@ -10,7 +10,6 @@ import pytest
 from repro.core.session import VegaPlus
 from repro.datagen import generate_flights
 from repro.metrics import (
-    BRIDGE_SKIP_PREFIXES,
     MetricsRegistry,
     NULL,
     NullMetrics,
@@ -383,41 +382,6 @@ class TestSlowQueryLog:
         assert log.capacity == 16
 
 
-# -- tracer bridge -----------------------------------------------------------
-
-
-class TestTracerBridge:
-    def test_tracer_forwards_to_metrics_sink(self):
-        registry = MetricsRegistry()
-        tracer = Tracer()
-        tracer.metrics = registry.view(session="s1")
-        tracer.metrics_skip = BRIDGE_SKIP_PREFIXES
-        tracer.count("engine.morsels", 5)
-        tracer.observe("engine.morsel_seconds", 0.25)
-        counter = registry.counter("engine.morsels", session="s1")
-        assert counter.value == 5
-        histogram = registry.histogram("engine.morsel_seconds", session="s1")
-        assert histogram.count == 1
-        # The tracer's own metrics still record.
-        assert tracer.counters["engine.morsels"].value == 5
-
-    def test_bridge_skips_directly_instrumented_families(self):
-        registry = MetricsRegistry()
-        tracer = Tracer()
-        tracer.metrics = registry.view(session="s1")
-        tracer.metrics_skip = BRIDGE_SKIP_PREFIXES
-        for name in ("cache.hits", "net.round_trips", "tiles.hit",
-                     "engine.fallback.unsupported"):
-            tracer.count(name)
-        tracer.observe("net.round_trip_seconds", 0.1)
-        assert registry.families() == {}  # nothing forwarded
-
-    def test_default_tracer_has_no_bridge(self):
-        tracer = Tracer()
-        tracer.count("anything")  # must not touch any registry
-        assert not tracer.metrics.enabled
-
-
 # -- session integration -----------------------------------------------------
 
 
@@ -514,31 +478,50 @@ class TestSessionMetrics:
             <= recorded_after_startup + 2  # only uncached queries add
         assert cached >= 1
 
-    def test_traced_session_bridges_engine_metrics_without_double_count(
-            self):
+    def test_traced_session_counts_once_and_bridges_nothing(self):
         registry = MetricsRegistry()
         session = small_session(metrics=registry, trace=True,
                                 parallelism=2)
         session.startup()
-        families = registry.families()
         # Directly instrumented families carry exactly the component
-        # truth (no tracer double-forwarding).
+        # truth: the tracer writes no number anywhere.
         labels = {"session": session.session_id}
         assert registry.counter("net.round_trips", **labels).value \
             == session.channel.stats.round_trips
         assert registry.counter("cache.misses", **labels).value \
             == session.cache.misses
-        # Traced-only counters (engine.*) reached the plane through the
-        # bridge when morsel execution kicked in.
-        bridged = [name for name in families if name.startswith("engine.")
-                   or name.startswith("data.")]
-        tracer_engine = [name for name in session.tracer.counters
-                         if name.startswith("engine.")
-                         and not name.startswith("engine.fallback")]
-        for name in tracer_engine:
-            assert name in bridged
-            assert registry.counter(name, **labels).value \
-                == session.tracer.counters[name].value
+        # What only the tracer used to count is read off its spans and
+        # is not a registry family; tracing changes no exposed series.
+        untraced = MetricsRegistry()
+        small_session(metrics=untraced, parallelism=2).startup()
+        assert set(registry.families()) == set(untraced.families())
+
+    def test_shared_tracer_keeps_session_labels(self):
+        # Two sessions on one Tracer and one registry: only A runs, so
+        # nothing labeled session="B" may move (the tracer->registry
+        # bridge had one handle per Tracer and the last session to
+        # attach took A's engine.* counts).
+        registry = MetricsRegistry()
+        tracer = Tracer()
+        data = {"flights": generate_flights(150_000)}
+        a = small_session(metrics=registry, trace=tracer, data=data,
+                          parallelism=2, session_id="A")
+        small_session(metrics=registry, trace=tracer, data=data,
+                      parallelism=2, session_id="B")
+        a.startup()
+        assert tracer.find_spans("engine:morsel")  # A's work was split
+        moved = {}
+        for name, family in registry.families().items():
+            for child in family.children.values():
+                if child.labels.get("session") != "B":
+                    continue
+                value = child.count if family.kind == "histogram" \
+                    else child.value
+                if value:
+                    moved[name] = value
+        assert moved == {}
+        assert registry.counter("cache.misses", session="A").value \
+            == a.cache.misses > 0
 
     def test_stats_exposes_session_identity_and_slowlog(self):
         registry = MetricsRegistry()

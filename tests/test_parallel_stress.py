@@ -8,6 +8,7 @@ every result identical to a single-threaded reference and (b) exact
 telemetry counter totals — no lost updates, no cross-query bleed.
 """
 
+import collections
 import math
 import sys
 import threading
@@ -196,12 +197,12 @@ def test_concurrent_columnar_queries_keep_morsel_logs_exact():
     EXPLAIN ANALYZE run must carry its *own* complete morsel log —
     indices exactly ``range(count)``, rows_in summing to the node's
     input, workers within the pool — and grafting all runs into one
-    tracer must land on exact ``engine.morsels`` / per-worker totals.
+    tracer must land on exact ``engine:morsel`` span / per-worker totals.
 
     A reference single-threaded pass over the same Database fixes the
     expected morsel count per query; any cross-query run-state bleed
     (lost records, doubled records, mixed indices) breaks either the
-    per-run invariants or the final counter arithmetic.
+    per-run invariants or the final span arithmetic.
     """
     from repro.core.executors import _graft_plan_nodes
 
@@ -274,50 +275,20 @@ def test_concurrent_columnar_queries_keep_morsel_logs_exact():
     assert len(collected) == CLIENT_THREADS * ROUNDS
     assert shared.queries_executed == CLIENT_THREADS * ROUNDS + warmup_queries
 
-    # Graft every run's nodes into one tracer: the counter totals must
-    # be the exact sum of the per-query expectations.
+    # Graft every run's nodes into one tracer: the morsel spans must be
+    # the exact sum of the per-query expectations.
     tracer = Tracer()
     for _, nodes in collected:
         _graft_plan_nodes(tracer, nodes)
     expected_total = sum(expected_per_query[sql] for sql, _ in collected)
-    assert tracer.counters["engine.morsels"].value == expected_total
-    per_worker = [
-        tracer.counters["engine.worker.{}.morsels".format(index)].value
-        for index in range(parallelism)
-        if "engine.worker.{}.morsels".format(index) in tracer.counters
-    ]
-    assert sum(per_worker) == expected_total
-    assert tracer.histograms["engine.morsel_seconds"].count == expected_total
-
-
-def test_tracer_metrics_exact_under_contention():
-    """Counter adds and histogram observations from many threads must
-    total exactly (the tracer's metrics lock)."""
-    tracer = Tracer()
-    increments_per_thread = 2_000
-
-    def hammer(worker_index):
-        for step in range(increments_per_thread):
-            tracer.count("stress.ticks")
-            tracer.count("stress.by_worker.{}".format(worker_index))
-            tracer.observe("stress.values", float(step))
-
-    threads = [threading.Thread(target=hammer, args=(index,))
-               for index in range(CLIENT_THREADS)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-
-    total = CLIENT_THREADS * increments_per_thread
-    assert tracer.counters["stress.ticks"].value == total
-    for index in range(CLIENT_THREADS):
-        key = "stress.by_worker.{}".format(index)
-        assert tracer.counters[key].value == increments_per_thread
-    histogram = tracer.histograms["stress.values"]
-    assert histogram.count == total
-    expected_sum = CLIENT_THREADS * sum(range(increments_per_thread))
-    assert histogram.total == pytest.approx(float(expected_sum))
+    morsel_spans = tracer.find_spans("engine:morsel")
+    assert len(morsel_spans) == expected_total
+    per_worker = collections.Counter(
+        span.attributes["worker"] for span in morsel_spans)
+    assert set(per_worker) <= set(range(parallelism))
+    assert sum(per_worker.values()) == expected_total
+    assert all(span.attributes["morsel_seconds"] >= 0.0
+               for span in morsel_spans)
 
 
 def test_metrics_registry_exact_under_contention():

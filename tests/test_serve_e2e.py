@@ -194,3 +194,59 @@ def test_rejections_carry_retry_after():
             await app.stop()
 
     asyncio.run(main())
+
+
+def test_malformed_and_oversized_content_length_are_refused():
+    """A Content-Length that is not a number, negative, or above the
+    body cap is answered (400 / 413) without reading a body, counted in
+    serve.responses, and leaves the admission identity exact."""
+    from repro.serve.app import MAX_BODY_BYTES
+
+    registry = MetricsRegistry()
+    app, spec, scenario = default_app_and_scenario(
+        rows=1_000, registry=registry,
+    )
+
+    async def refused(content_length):
+        reader, writer = await asyncio.open_connection(app.host, app.port)
+        writer.write(
+            "POST /v1/interact HTTP/1.1\r\nHost: x\r\n"
+            "Content-Length: {}\r\n\r\n".format(content_length)
+            .encode("latin-1"))
+        await writer.drain()
+        # read to EOF: the server must answer and then close
+        data = await asyncio.wait_for(reader.read(), timeout=5)
+        writer.close()
+        await writer.wait_closed()
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert b"Connection: close" in head
+        return int(head.split()[1]), json.loads(body)
+
+    async def main():
+        await app.start()
+        try:
+            await app.prewarm()
+            for bad in ("abc", "-5", "12x"):
+                status, body = await refused(bad)
+                assert status == 400 and "Content-Length" in body["error"]
+            status, body = await refused(MAX_BODY_BYTES + 1)
+            assert status == 413 and str(MAX_BODY_BYTES) in body["error"]
+
+            client = _HttpClient(app.host, app.port)
+            status, _, _ = await client.request(
+                "POST", "/v1/interact",
+                obj={"signal": "maxbins", "value": 25},
+                headers=[("X-Tenant", "gold")])
+            assert status == 200
+            await client.close()
+        finally:
+            await app.stop()
+
+    asyncio.run(main())
+    assert registry.counter("serve.responses", status="400").value == 3
+    assert registry.counter("serve.responses", status="413").value == 1
+    totals = app.totals()
+    assert totals["requests"] == 1      # refusals never reach admission
+    assert totals["requests"] \
+        == totals["admitted"] + totals["rejected_total"]
+    assert totals["served"] == 1 and totals["unaccounted"] == 0

@@ -1,14 +1,18 @@
 """Data-tile index: detection, equivalence, cost gating, residency,
 streaming deltas, and observability."""
 
+import json
 import random
 
 import pytest
 
 from repro.core.session import VegaPlus
+from repro.datagen import generate_flights
 from repro.fuzz.normalize import canonical_rows, rows_equivalent
 from repro.planner.calibrate import refit_from_report
+from repro.metrics import MetricsRegistry
 from repro.planner.costmodel import CostParameters, should_use_tiles
+from repro.spec import flights_histogram_spec
 
 
 def make_rows(n=300, seed=42):
@@ -332,16 +336,79 @@ def test_telemetry_counters_and_stats():
     session.startup()
     session.interact("lo", 250.0)
     session.interact("hi", 750.0)
-    counters = session.tracer.counters
-    assert counters["tiles.build"].value == 1
-    assert counters["tiles.hit"].value >= 1
-    assert counters["tiles.bytes"].value > 0
-    assert counters["cache.bytes"].value >= counters["tiles.bytes"].value
-    assert "tiles.slice_seconds" in session.tracer.histograms
+    metrics = session.metrics  # the session's labeled registry view
+    assert metrics.counter("tiles.build").value == 1
+    assert metrics.counter("tiles.hit").value >= 1
+    assert metrics.counter("tiles.bytes_built").value > 0
+    assert metrics.gauge("cache.bytes").value \
+        >= metrics.counter("tiles.bytes_built").value
+    assert metrics.histogram("tiles.slice_seconds").count >= 1
     stats = session.stats()["tiles"]
     assert stats["builds"] == 1
     assert stats["live_cubes"] == 1
     assert session.stats()["cache"]["bytes"] > 0
+
+
+@pytest.mark.parametrize("kind", ["histogram", "brush"])
+def test_every_event_is_counted_once(kind, tmp_path):
+    """One book of numbers: what the registry holds for a traced session
+    is what the components counted, and the trace exports carry spans
+    and the stats snapshot only."""
+    registry = MetricsRegistry()
+    if kind == "histogram":
+        # two cache entries: the maxbins walk below evicts
+        session = VegaPlus(
+            flights_histogram_spec(),
+            data={"flights": generate_flights(8000)}, cache_entries=2,
+            trace=True, metrics=registry)
+        events = [("maxbins", value) for value in (10, 30, 50, 70) * 3]
+        table, extra = "flights", generate_flights(40, seed=5).to_rows()
+    else:
+        session = VegaPlus(
+            brush_spec(), data={"t": make_rows()}, latency_ms=0.0,
+            bandwidth_mbps=100000.0, tiles="force", trace=True,
+            metrics=registry)
+        events = [("lo", 25.0 * step) for step in range(1, 7)] \
+            + [("hi", 1000.0 - 25.0 * step) for step in range(1, 7)]
+        table, extra = "t", make_rows(20, seed=9)
+    session.startup()
+    for signal, value in events[:8]:
+        session.interact(signal, value)
+    session.append_data(table, extra)
+    for signal, value in events[8:]:
+        session.interact(signal, value)
+
+    stats = session.stats()
+    view = session.metrics
+    counted = {
+        "cache.hits": stats["cache"]["hits"],
+        "cache.misses": stats["cache"]["misses"],
+        "cache.evictions": stats["cache"]["evictions"],
+        "net.round_trips": stats["network"]["round_trips"],
+        "net.bytes_received": stats["network"]["bytes_received"],
+        "tiles.hit": stats["tiles"]["hits"],
+        "tiles.build": stats["tiles"]["builds"],
+        "tiles.bytes_built": stats["tiles"]["bytes_built"],
+    }
+    for name, expected in counted.items():
+        assert view.counter(name).value == expected, name
+    assert view.gauge("cache.bytes").value == stats["cache"]["bytes"]
+    if kind == "histogram":
+        assert stats["cache"]["evictions"] > 0
+        assert stats["network"]["round_trips"] > 0
+    else:
+        assert stats["tiles"]["hits"] > 0 and stats["tiles"]["builds"] > 0
+
+    document = session.export_trace(str(tmp_path / "t.json"), format="json")
+    assert "counters" not in document and "histograms" not in document
+    assert document["stats"] == stats
+    chrome = session.export_trace(str(tmp_path / "c.json"))
+    assert not [event for event in chrome["traceEvents"]
+                if event["ph"] == "C"]
+    assert chrome["otherData"]["stats"] == stats
+    on_disk = json.loads((tmp_path / "c.json").read_text())
+    assert on_disk["otherData"]["stats"]["cache"]["hits"] \
+        == stats["cache"]["hits"]
 
 
 def test_explain_shows_tile_decisions():
