@@ -108,6 +108,13 @@ class ResultCache:
         with self._lock:
             return key in self._entries
 
+    def miss(self):
+        """Count a lookup that cannot be made: the key is the text of a
+        statement that follows a miss, which only the server can compose."""
+        with self._lock:
+            self.misses += 1
+            self.metrics.inc("cache.misses")
+
     def peek(self, key):
         """The entry for ``key`` (refreshing its recency) without touching
         the hit/miss counters — used by owners of synthetic entries (tile

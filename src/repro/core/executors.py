@@ -5,11 +5,19 @@ The middleware "evaluates the dataflow and handles communication across
 the client and server components" (§2).  For each sink dataset the
 executor walks the planned cut: translatable prefix steps compose into
 server SQL (value transforms like extent run as scalar queries mid-
-composition), the result crosses the simulated network once, and the
-remaining steps execute in a per-segment client dataflow.
+composition) and the remaining steps execute in a per-segment client
+dataflow.  What crosses the simulated network is the *interaction*, not
+the statement: a segment's statements are answered from the client cache
+for as long as their SQL text can be computed there, and from the first
+miss on the segment travels as one :class:`SegmentProgram` whose
+dependent values (extent -> bin parameters) the server resolves itself.
+Every program of a run joins one exchange, charged as one round trip.
 """
 
+import json
 import time
+from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.data import ColumnBatch
 from repro.dataflow import Dataflow, DataRef, DataSource, OperatorRef, SignalRef
@@ -17,8 +25,8 @@ from repro.dataflow.pulse import Pulse
 from repro.dataflow.transforms import create_transform
 from repro.dataflow.transforms.base import ValueTransform
 from repro.expr.evaluator import Evaluator
-from repro.expr.parser import parse
-from repro.net.payload import request_bytes, wire_bytes
+from repro.net.channel import Exchange
+from repro.net.payload import wire_bytes
 from repro.core.cache import CacheEntry
 from repro.core.results import QueryLogEntry
 from repro.metrics import NULL as NULL_METRICS
@@ -33,8 +41,39 @@ class ExecutorError(Exception):
     """Hybrid execution failed."""
 
 
+@dataclass
+class SegmentProgram:
+    """One server segment as it crosses the link: all the server half
+    needs to compose and run the segment's statements, as plain JSON.
+
+    ``steps`` are ``{"type", "params"}`` dicts in chain order.  A value
+    transform's step also has a ``"name"``: its result is kept under it
+    in ``values``, where the ``{"$value": name}`` placeholders in later
+    steps' params find it.  ``{"$table": name}`` stands for a server-
+    resident lookup table, and a step's ``"grid": [name, resolution]``
+    takes the step's bin extent and step from the tile brush grid over
+    the named extent.  ``values`` starts as what the client already
+    holds (its cache hits); the walker adds what it computes.
+    """
+
+    root: str
+    columns: list
+    steps: list
+    #: the signal values the steps read
+    signals: dict
+    #: final output fields (mark-driven projection), or None for all
+    project: Optional[list] = None
+    values: dict = field(default_factory=dict)
+    merge: bool = True
+    rewrite: bool = True
+
+    def encode(self):
+        return json.dumps(vars(self), separators=(",", ":"))
+
+
 class ServerSegmentRunner:
-    """Runs the server-assigned prefix of one chain."""
+    """Runs the server-assigned prefixes of one run's chains and owns the
+    run's exchange: :meth:`close` charges the one round trip."""
 
     def __init__(self, backend, channel, signals, cache=None,
                  merge=True, rewrite=True, tracer=None, dataset="",
@@ -48,13 +87,20 @@ class ServerSegmentRunner:
         self.tracer = tracer or NOOP
         #: always-on plane; the session passes its labeled MetricsView
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        #: sink dataset this segment computes (tags query log entries)
+        #: sink dataset of the segment being run (tags query log entries)
         self.dataset = dataset
         #: the cut currently executing (slow-query log context)
         self.active_cut = None
         self.queries = []
         self.server_seconds = 0.0
         self.network_seconds = 0.0
+        #: the segment being walked, until its first miss sends it
+        self._program = None
+        self._prefetch = False
+        #: opened by the run's first miss; an all-hit run never has one
+        self._exchange = None
+        #: (entry, cut) of every statement awaiting its share of the charge
+        self._inflight = []
 
     def finalize_sql(self, select):
         if not self.tracer.enabled:
@@ -71,6 +117,64 @@ class ServerSegmentRunner:
             sql = render(select, self.backend.name)
             span.set(sql=sql, merged=self.merge, rewritten=self.rewrite)
         return sql
+
+    def program(self, root_table, base_columns, steps, cut,
+                final_fields=None):
+        """The :class:`SegmentProgram` of ``steps[:cut]`` under the current
+        signal values; ``final_fields`` project a segment that runs the
+        whole chain."""
+        evaluator = Evaluator(signals=self.signals)
+        read = set()
+        compiled = []
+        for step in steps[:cut]:
+            read |= step.signal_names(self.signals)
+            entry = {
+                "type": step.spec_type,
+                "params": self._resolve_params(step.operator, evaluator),
+            }
+            if isinstance(step.operator, ValueTransform):
+                entry["name"] = step.operator.name
+            compiled.append(entry)
+        return SegmentProgram(
+            root=root_table, columns=list(base_columns), steps=compiled,
+            signals={name: self.signals[name] for name in read},
+            project=sorted(final_fields)
+            if final_fields and cut >= len(steps) else None,
+            merge=self.merge, rewrite=self.rewrite,
+        )
+
+    def walk(self, program, fetch):
+        """The one step walker: compose ``program``'s steps into SQL in
+        chain order and ask ``fetch(sql, kind)`` for the batch of each
+        statement — every value transform's scalar query as it is
+        reached, the rows query last.  Returns (rows batch, output
+        columns), or (None, None) as soon as ``fetch`` has no answer;
+        computed values land in ``program.values``.
+        """
+        builder = SqlPipelineBuilder(program.root, program.columns)
+        values = program.values
+        signals = program.signals
+        for step in program.steps:
+            params = _bind(step["params"], values, self.backend)
+            if "grid" in step:
+                from repro.tiles.cube import BrushGrid
+
+                extent, resolution = step["grid"]
+                grid = BrushGrid.from_extent(values[extent], resolution)
+                params.update(extent=[grid.start, grid.top], step=grid.step)
+            name = step.get("name")
+            if name is None:
+                builder.add_step(step["type"], params, signals)
+            elif name not in values:
+                translation = builder.value_query(
+                    step["type"], params, signals
+                )
+                batch = fetch(self.finalize_sql(translation.select), "value")
+                if batch is None:
+                    return None, None
+                values[name] = _extract_value(step["type"], batch)
+        sql = self.finalize_sql(builder.query(project_fields=program.project))
+        return fetch(sql, "rows"), builder.columns
 
     def run_segment(self, root_table, base_columns, steps, cut,
                     final_fields=None, prefetch=False):
@@ -96,43 +200,17 @@ class ServerSegmentRunner:
     def _run_segment(self, root_table, base_columns, steps, cut,
                      final_fields=None, prefetch=False):
         self.active_cut = cut
-        builder = SqlPipelineBuilder(root_table, base_columns)
-        value_results = {}
-        for step in steps[:cut]:
-            params = self._resolve_params(step.operator, value_results)
-            if isinstance(step.operator, ValueTransform):
-                translation = builder.value_query(
-                    step.spec_type, params, self.signals
-                )
-                sql = self.finalize_sql(translation.select)
-                batch = self._execute(sql, kind="value", prefetch=prefetch)
-                value = self._extract_value(step.spec_type, batch)
-                value_results[step.operator.name] = value
-            else:
-                builder.add_step(step.spec_type, params, self.signals)
+        self._prefetch = prefetch
+        program = self.program(root_table, base_columns, steps, cut,
+                               final_fields)
+        batch, columns = self.run(program)
+        return batch, program.values, batch.column_names or list(columns)
 
-        project = final_fields if cut >= len(steps) else None
-        final = builder.query(project_fields=project)
-        sql = self.finalize_sql(final)
-        batch = self._execute(sql, kind="rows", prefetch=prefetch)
-        columns = batch.column_names or list(builder.columns)
-        return batch, value_results, columns
-
-    def execute_value(self, builder, spec_type, params):
-        """Run one value transform (extent) as a scalar query against the
-        pipeline composed in ``builder`` and return its value.  Used by
-        the tile builder, which needs the computed value *between* steps
-        (the brush grid derives from the measured extent)."""
-        translation = builder.value_query(spec_type, params, self.signals)
-        sql = self.finalize_sql(translation.select)
-        batch = self._execute(sql, kind="value")
-        return self._extract_value(spec_type, batch)
-
-    def execute_rows(self, builder, project_fields=None):
-        """Run the rows query of the pipeline composed in ``builder`` and
-        return the result batch (with caching and network accounting)."""
-        sql = self.finalize_sql(builder.query(project_fields=project_fields))
-        return self._execute(sql, kind="rows")
+    def run(self, program):
+        """Walk ``program`` with the cache in front of the server; returns
+        (rows batch, output columns)."""
+        self._program = program
+        return self.walk(program, self._fetch)
 
     def segment_cached(self, root_table, base_columns, steps, cut,
                        final_fields=None):
@@ -144,28 +222,19 @@ class ServerSegmentRunner:
         """
         if self.cache is None:
             return False
-        builder = SqlPipelineBuilder(root_table, base_columns)
-        value_results = {}
-        for step in steps[:cut]:
-            params = self._resolve_params(step.operator, value_results)
-            if isinstance(step.operator, ValueTransform):
-                translation = builder.value_query(
-                    step.spec_type, params, self.signals
-                )
-                sql = self.finalize_sql(translation.select)
-                # peek, not get: a cache probe must not count as a hit
-                # (neither on the integer counters nor the metrics plane)
-                entry = self.cache.peek(sql)
-                if entry is None:
-                    return False
-                value_results[step.operator.name] = self._extract_value(
-                    step.spec_type, entry.as_batch()
-                )
-            else:
-                builder.add_step(step.spec_type, params, self.signals)
-        project = final_fields if cut >= len(steps) else None
-        sql = self.finalize_sql(builder.query(project_fields=project))
-        return self.cache.contains(sql)
+
+        def peek(sql, kind):
+            # peek, not get: a cache probe must not count as a hit
+            # (neither on the integer counters nor the metrics plane);
+            # of the rows only their presence is asked, nothing is read
+            if kind == "rows":
+                return self.cache.contains(sql) or None
+            entry = self.cache.peek(sql)
+            return None if entry is None else entry.as_batch()
+
+        program = self.program(root_table, base_columns, steps, cut,
+                               final_fields)
+        return self.walk(program, peek)[0] is not None
 
     def run_segment_per_op(self, root_table, base_columns, steps, cut,
                            final_fields=None):
@@ -178,25 +247,26 @@ class ServerSegmentRunner:
         self.active_cut = cut
         current_table = root_table
         current_columns = list(base_columns)
-        value_results = {}
+        program = self.program(root_table, base_columns, steps, cut,
+                               final_fields)
+        values = program.values
         batch = None
         temp_index = 0
-        for step in steps[:cut]:
-            params = self._resolve_params(step.operator, value_results)
+        for step in program.steps:
+            params = _bind(step["params"], values, self.backend)
             builder = SqlPipelineBuilder(current_table, current_columns)
-            if isinstance(step.operator, ValueTransform):
+            if "name" in step:
                 translation = builder.value_query(
-                    step.spec_type, params, self.signals
+                    step["type"], params, program.signals
                 )
-                sql = self.finalize_sql(translation.select)
-                value_batch = self._execute(sql, kind="value")
-                value_results[step.operator.name] = self._extract_value(
-                    step.spec_type, value_batch
-                )
+                value_batch = self._round_trip(
+                    self.finalize_sql(translation.select), "value")
+                values[step["name"]] = _extract_value(
+                    step["type"], value_batch)
                 continue
-            builder.add_step(step.spec_type, params, self.signals)
-            sql = self.finalize_sql(builder.query())
-            batch = self._execute(sql, kind="rows")
+            builder.add_step(step["type"], params, program.signals)
+            batch = self._round_trip(
+                self.finalize_sql(builder.query()), "rows")
             current_columns = builder.columns
             # Ship the intermediate back up as a temp table (upload cost);
             # the batch goes back verbatim, no row round-trip.
@@ -211,37 +281,72 @@ class ServerSegmentRunner:
         # Final fetch (either the last intermediate or the raw table).
         if batch is None:
             builder = SqlPipelineBuilder(current_table, current_columns)
-            project = final_fields if cut >= len(steps) else None
-            sql = self.finalize_sql(builder.query(project_fields=project))
-            batch = self._execute(sql, kind="rows")
-        return batch, value_results, current_columns
+            sql = self.finalize_sql(
+                builder.query(project_fields=program.project))
+            batch = self._round_trip(sql, "rows")
+        return batch, values, current_columns
 
-    def _execute(self, sql, kind, prefetch=False):
-        """Run one query with caching and network accounting.
+    def _round_trip(self, sql, kind):
+        """One statement as a request of its own (the per-operator path)."""
+        self._send(sql)
+        batch = self._execute(sql, kind)
+        self.close(kind)
+        return batch
+
+    def _send(self, text):
+        """``text`` joins the run's exchange, opening it if need be."""
+        if self._exchange is None:
+            self._exchange = Exchange(self.channel)
+        self._exchange.programs.append(text)
+        self._exchange.sinks.append(self.dataset)
+
+    def _fetch(self, sql, kind):
+        """One statement of the segment being walked: from the client
+        cache for as long as the segment's keys can be computed there,
+        from the server — the segment's program joining the exchange —
+        from the first miss on.
 
         Returns the result as a :class:`ColumnBatch` — the batch flows
         from the backend through the cache to the caller without ever
         materializing dict rows on this path.
         """
-        tracer = self.tracer
-        metrics = self.metrics
+        program = self._program
         if self.cache is not None:
-            entry = self.cache.get(sql)
-            if entry is not None:
-                if tracer.enabled:
-                    tracer.measured_span(
-                        "sql.cached", 0.0, kind=kind, rows=entry.num_rows,
-                        dataset=self.dataset, sql=sql,
-                    )
-                if metrics.enabled:
-                    metrics.inc("sql.queries", kind=kind, cached="true")
-                self.queries.append(
-                    QueryLogEntry(sql=sql, rows=entry.num_rows,
-                                  server_seconds=0.0, network_seconds=0.0,
-                                  cached=True, kind=kind,
-                                  dataset=self.dataset)
-                )
-                return entry.as_batch()
+            if program is None:
+                # the text depends on a value only the server has yet
+                self.cache.miss()
+            else:
+                entry = self.cache.get(sql)
+                if entry is not None:
+                    if self.tracer.enabled:
+                        self.tracer.measured_span(
+                            "sql.cached", 0.0, kind=kind,
+                            rows=entry.num_rows, dataset=self.dataset,
+                            sql=sql,
+                        )
+                    self._log(sql, kind, entry.num_rows, 0.0, cached=True)
+                    return entry.as_batch()
+        if program is not None:
+            self._program = None
+            self._send(program.encode())
+        return self._execute(sql, kind)
+
+    def _log(self, sql, kind, rows, server_seconds, cached):
+        if self.metrics.enabled:
+            self.metrics.inc("sql.queries", kind=kind,
+                             cached="true" if cached else "false")
+        entry = QueryLogEntry(
+            sql=sql, rows=rows, server_seconds=server_seconds,
+            network_seconds=0.0, cached=cached, kind=kind,
+            dataset=self.dataset,
+        )
+        self.queries.append(entry)
+        return entry
+
+    def _execute(self, sql, kind):
+        """Run one statement on the server; its batch is part of the
+        exchange's response and is cached under its SQL text."""
+        tracer = self.tracer
         if tracer.enabled:
             with tracer.span("sql.execute", kind=kind, sql=sql,
                              dataset=self.dataset,
@@ -255,74 +360,61 @@ class ServerSegmentRunner:
             result = self.backend.execute(sql)
         batch = result.table
         response_bytes = wire_bytes(batch)
-        network = self.channel.request(
-            request_bytes(sql), response_bytes,
-            label="prefetch" if prefetch else kind,
-        )
-        if not prefetch:
-            self.server_seconds += result.seconds
-            self.network_seconds += network
-        if metrics.enabled:
-            metrics.inc("sql.queries",
-                        kind="prefetch" if prefetch else kind,
-                        cached="false")
-            metrics.observe("sql.server_seconds", result.seconds)
-            metrics.slowlog.maybe_record(
-                result.seconds + network, sql=sql,
-                server_seconds=result.seconds, network_seconds=network,
-                kind="prefetch" if prefetch else kind,
-                dataset=self.dataset, backend=self.backend.name,
-                cut=self.active_cut, rows=batch.num_rows,
-                response_bytes=response_bytes, cached=False,
-                session=metrics.labels.get("session", ""),
-                tenant=metrics.labels.get("tenant", ""),
-            )
-        self.queries.append(
-            QueryLogEntry(
-                sql=sql, rows=batch.num_rows, server_seconds=result.seconds,
-                network_seconds=network, cached=False,
-                kind="prefetch" if prefetch else kind,
-                dataset=self.dataset,
-            )
-        )
+        self._exchange.responses.append(response_bytes)
+        self.server_seconds += result.seconds
+        if self.metrics.enabled:
+            self.metrics.observe("sql.server_seconds", result.seconds)
+        entry = self._log(sql, "prefetch" if self._prefetch else kind,
+                          batch.num_rows, result.seconds, cached=False)
+        self._inflight.append((entry, self.active_cut))
         if self.cache is not None:
             self.cache.put(
                 sql, CacheEntry(batch=batch, wire_bytes=response_bytes)
             )
         return batch
 
-    def _extract_value(self, spec_type, batch):
-        if spec_type == "extent":
-            if batch.num_rows == 0:
-                return [None, None]
-            row = batch.row(0)
-            return [row.get("min"), row.get("max")]
-        raise ExecutorError(
-            "unknown value transform {!r}".format(spec_type)
-        )
+    def close(self, label=""):
+        """Charge the run's exchange — one round trip for everything its
+        segments fetched, none when every statement hit — and give each
+        fetched statement its share: the transfer time of its own bytes,
+        the first also the latency."""
+        exchange, self._exchange = self._exchange, None
+        if exchange is None:
+            return
+        inflight, self._inflight = self._inflight, []
+        metrics = self.metrics
+        for (entry, cut), response_bytes, seconds in zip(
+                inflight, exchange.responses, exchange.close(label)):
+            entry.network_seconds = seconds
+            self.network_seconds += seconds
+            if metrics.enabled:
+                metrics.slowlog.maybe_record(
+                    entry.server_seconds + seconds, sql=entry.sql,
+                    server_seconds=entry.server_seconds,
+                    network_seconds=seconds, kind=entry.kind,
+                    dataset=entry.dataset, backend=self.backend.name,
+                    cut=cut, rows=entry.rows,
+                    response_bytes=response_bytes, cached=False,
+                    session=metrics.labels.get("session", ""),
+                    tenant=metrics.labels.get("tenant", ""),
+                )
 
-    def _resolve_params(self, operator, value_results):
-        evaluator = Evaluator(signals=self.signals)
-
+    def _resolve_params(self, operator, evaluator):
+        """``operator``'s params as they go into a program: signal
+        expressions evaluated, live references as placeholders."""
         def resolve(value):
             if isinstance(value, SignalRef):
-                return evaluator.evaluate(parse(value.expression))
+                return evaluator.evaluate(value.ast)
             if isinstance(value, OperatorRef):
-                name = value.operator.name
-                if name not in value_results:
-                    raise ExecutorError(
-                        "server step references {!r} which was not computed "
-                        "on the server".format(name)
-                    )
-                return value_results[name]
+                return {"$value": value.operator.name}
             if isinstance(value, DataRef):
-                marker = _lookup_table_for(value.operator, self.backend)
-                if marker is None:
+                table = _server_table(value.operator, self.backend)
+                if table is None:
                     raise ExecutorError(
                         "cross-dataset reference {!r} is not a server-"
                         "resident base table".format(value.operator.name)
                     )
-                return marker
+                return {"$table": table}
             if isinstance(value, dict):
                 return {key: resolve(item) for key, item in value.items()}
             if isinstance(value, list):
@@ -330,6 +422,35 @@ class ServerSegmentRunner:
             return value
 
         return {key: resolve(value) for key, value in operator.params.items()}
+
+
+def _extract_value(spec_type, batch):
+    if spec_type == "extent":
+        if batch.num_rows == 0:
+            return [None, None]
+        row = batch.row(0)
+        return [row.get("min"), row.get("max")]
+    raise ExecutorError("unknown value transform {!r}".format(spec_type))
+
+
+def _bind(value, values, backend):
+    """Program params with their placeholders filled in."""
+    if isinstance(value, dict):
+        if "$value" in value:
+            name = value["$value"]
+            if name not in values:
+                raise ExecutorError(
+                    "server step references {!r} which was not computed "
+                    "on the server".format(name)
+                )
+            return values[name]
+        if "$table" in value:
+            return _lookup_table(value["$table"], backend)
+        return {key: _bind(item, values, backend)
+                for key, item in value.items()}
+    if isinstance(value, list):
+        return [_bind(item, values, backend) for item in value]
+    return value
 
 
 def _graft_plan_nodes(tracer, nodes):
@@ -408,20 +529,22 @@ def _graft_morsels(tracer, node_span, node_seconds, morsels):
         cursor = span.end = min(span.end, node_span.end)
 
 
-def _lookup_table_for(operator, backend):
-    """LookupTable marker when ``operator`` sources a transform-free root
-    dataset that is loaded in the backend."""
-    from repro.dataflow.transforms.base import DataSource
-    from repro.sqlgen.translate import LookupTable
-
+def _server_table(operator, backend):
+    """Name of the backend table ``operator`` sources — a transform-free
+    root dataset that is loaded in the backend — or None."""
     if not isinstance(operator, DataSource):
         return None
     name = operator.name
     if not name.endswith(":source"):
         return None
     table = name[: -len(":source")]
-    if table not in backend.table_names():
-        return None
+    return table if table in backend.table_names() else None
+
+
+def _lookup_table(table, backend):
+    """LookupTable marker (with column kinds) for a backend table."""
+    from repro.sqlgen.translate import LookupTable
+
     types = ()
     schema = backend.table_schema(table)
     if schema:

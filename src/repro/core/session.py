@@ -31,7 +31,6 @@ from repro.core.prefetch import Prefetcher
 from repro.core.results import RunResult
 from repro.engine import Table, compute_stats
 from repro.net import NetworkChannel
-from repro.net.payload import request_bytes
 from repro.planner import (
     CostParameters,
     PartitionOptimizer,
@@ -301,13 +300,16 @@ class VegaPlus:
         result = RunResult(label=label, plan=plan)
         hits_before = self.cache.hits
         misses_before = self.cache.misses
+        server = self._server()
         with self.tracer.span("run", label=label, plan=plan.label) as span:
             for sink, dataset_plan in plan.datasets.items():
                 state = self._sink_state(sink)
-                rows = self._run_sink(sink, state, dataset_plan, result)
+                rows = self._run_sink(sink, state, dataset_plan, result,
+                                      server)
                 result.datasets[sink] = rows
                 if adopt:
                     state.rows = rows
+            self._settle(server, result, label)
             span.set(total_seconds=result.breakdown.total)
         result.cache_hits = self.cache.hits - hits_before
         result.cache_misses = self.cache.misses - misses_before
@@ -333,34 +335,48 @@ class VegaPlus:
             self._sink_states[sink] = _SinkState(root, steps)
         return self._sink_states[sink]
 
-    def _run_sink(self, sink, state, dataset_plan, result):
-        cut = dataset_plan.cut
-        final_fields = self.compiled.spec.mark_fields(sink) or None
-
-        sink_span = self.tracer.span(
-            "sink:" + sink, dataset=sink, cut=cut,
-            max_cut=dataset_plan.max_cut,
-        )
-        server = ServerSegmentRunner(
+    def _server(self):
+        """The server half of one run: every sink's segment goes through
+        it, so what they fetch crosses the link as one exchange."""
+        return ServerSegmentRunner(
             self.backend, self.channel, self.signals,
             # Temp-table SQL text is not a canonical key (the same text
             # reads different __seg_i contents), so per-op mode is uncached.
             cache=None if self.per_operator_roundtrips else self.cache,
             merge=self.merge_queries, rewrite=self.rewrite_sql,
-            tracer=self.tracer, dataset=sink, metrics=self.metrics,
+            tracer=self.tracer, metrics=self.metrics,
         )
-        base_columns = self.tables[state.root].column_names
+
+    def _run_segment(self, server, sink, state, cut, prefetch=False):
+        """``sink``'s server segment through the run's ``server``."""
+        server.dataset = sink
+        segment = (state.root, self.tables[state.root].column_names,
+                   state.steps, cut)
+        final_fields = self.compiled.spec.mark_fields(sink) or None
+        if self.per_operator_roundtrips:
+            return server.run_segment_per_op(
+                *segment, final_fields=final_fields)
+        return server.run_segment(
+            *segment, final_fields=final_fields, prefetch=prefetch)
+
+    def _settle(self, server, result, label):
+        """Close the run's exchange (one round trip, or none when every
+        statement hit) and book the server half's cost on ``result``."""
+        server.close(label.split(":", 1)[0])
+        result.queries.extend(server.queries)
+        result.breakdown = result.breakdown + CostBreakdown(
+            server=server.server_seconds, network=server.network_seconds,
+        )
+
+    def _run_sink(self, sink, state, dataset_plan, result, server):
+        cut = dataset_plan.cut
+        sink_span = self.tracer.span(
+            "sink:" + sink, dataset=sink, cut=cut,
+            max_cut=dataset_plan.max_cut,
+        )
         with sink_span:
-            if self.per_operator_roundtrips:
-                transfer, value_results, _ = server.run_segment_per_op(
-                    state.root, base_columns, state.steps, cut,
-                    final_fields=final_fields,
-                )
-            else:
-                transfer, value_results, _ = server.run_segment(
-                    state.root, base_columns, state.steps, cut,
-                    final_fields=final_fields,
-                )
+            transfer, value_results, _ = self._run_segment(
+                server, sink, state, cut)
             state.transfer = transfer
             state.value_results = value_results
             state.cut_executed = cut
@@ -380,11 +396,8 @@ class VegaPlus:
             materialize_seconds = time.perf_counter() - materialize_start
             sink_span.set(rows=len(rows))
 
-        result.queries.extend(server.queries)
         result.client_op_seconds.update(client.op_seconds)
         result.breakdown = result.breakdown + CostBreakdown(
-            server=server.server_seconds,
-            network=server.network_seconds,
             client=client.client_seconds + materialize_seconds,
             render=len(rows) * self.cost_params.render_row_cost,
         )
@@ -533,6 +546,7 @@ class VegaPlus:
         result = RunResult(label=label, plan=plan)
         hits_before = self.cache.hits
         misses_before = self.cache.misses
+        server = self._server()
         with self.tracer.span("run", label=label, plan=plan.label,
                               signal=signal) as span:
             for sink, dataset_plan in plan.datasets.items():
@@ -554,9 +568,11 @@ class VegaPlus:
                         and state.cut_executed == dataset_plan.cut:
                     rows = self._client_partial(state, dataset_plan, result)
                 else:
-                    rows = self._run_sink(sink, state, dataset_plan, result)
+                    rows = self._run_sink(sink, state, dataset_plan, result,
+                                          server)
                 state.rows = rows
                 result.datasets[sink] = rows
+            self._settle(server, result, label)
             span.set(total_seconds=result.breakdown.total)
         result.cache_hits = self.cache.hits - hits_before
         result.cache_misses = self.cache.misses - misses_before
@@ -609,15 +625,16 @@ class VegaPlus:
         """Whether the server segment for ``sink`` at ``cut`` under the
         *current* signal values is fully answerable from the cache."""
         state = self._sink_state(sink)
+        # a probe: no tracer and no metrics, so it leaves no record
         runner = ServerSegmentRunner(
             self.backend, self.channel, self.signals, cache=self.cache,
             merge=self.merge_queries, rewrite=self.rewrite_sql,
         )
-        final_fields = self.compiled.spec.mark_fields(sink) or None
         try:
             return runner.segment_cached(
                 state.root, self.tables[state.root].column_names,
-                state.steps, cut, final_fields=final_fields,
+                state.steps, cut,
+                final_fields=self.compiled.spec.mark_fields(sink) or None,
             )
         except Exception:
             return False
@@ -659,35 +676,23 @@ class VegaPlus:
         else:
             self.signals = dict(saved_signals)
             self.signals[signal] = value
-        fetched = False
         prefetch_span = self.tracer.span(
             "prefetch", signal=signal, value=value
         )
         try:
+            server = self._server()
             with prefetch_span:
                 for sink, dataset_plan in self.plan.datasets.items():
-                    state = self._sink_state(sink)
                     frontier = signal_frontier(self.compiled, sink, signal)
                     if frontier >= dataset_plan.cut:
                         continue  # interaction will not touch the server
-                    runner = ServerSegmentRunner(
-                        self.backend, self.channel, self.signals,
-                        cache=self.cache, merge=self.merge_queries,
-                        rewrite=self.rewrite_sql,
-                        tracer=self.tracer, dataset=sink,
-                        metrics=self.metrics,
+                    self._run_segment(
+                        server, sink, self._sink_state(sink),
+                        dataset_plan.cut, prefetch=True,
                     )
-                    base_columns = self.tables[state.root].column_names
-                    final_fields = (
-                        self.compiled.spec.mark_fields(sink) or None
-                    )
-                    runner.run_segment(
-                        state.root, base_columns, state.steps,
-                        dataset_plan.cut,
-                        final_fields=final_fields, prefetch=True,
-                    )
-                    if any(not entry.cached for entry in runner.queries):
-                        fetched = True
+                # idle-time traffic: charged to the link, to no result
+                server.close("prefetch")
+                fetched = any(not entry.cached for entry in server.queries)
                 prefetch_span.set(fetched=fetched)
         finally:
             self.signals = saved_signals

@@ -9,6 +9,7 @@ references to other operators" (§2.1).
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.expr.evaluator import Evaluator
 from repro.expr.fields import signal_refs
@@ -42,8 +43,14 @@ class SignalRef:
 
     expression: str
 
+    @cached_property
+    def ast(self):
+        """The parsed expression: parsed once per compiled spec, evaluated
+        per event."""
+        return parse(self.expression)
+
     def signals(self, known=None):
-        return signal_refs(parse(self.expression), known_signals=known)
+        return signal_refs(self.ast, known_signals=known)
 
 
 class Operator:
@@ -159,7 +166,7 @@ def _resolve(value, evaluator):
         pulse = value.operator.last_pulse
         return pulse.rows if pulse is not None else []
     if isinstance(value, SignalRef):
-        return evaluator.evaluate(parse(value.expression))
+        return evaluator.evaluate(value.ast)
     if isinstance(value, list):
         return [_resolve(item, evaluator) for item in value]
     if isinstance(value, tuple):

@@ -25,6 +25,9 @@ The run matrix per case:
   (metamorphic check on the engine optimizer; EXPLAIN output of both
   configurations is attached on mismatch).
 
+Every run must also cross the link at most once (kind ``protocol``):
+whatever the cut, a run's server segments travel as one exchange.
+
 Error handling is part of the contract: a case whose pipeline raises is
 acceptable only when it raises under *every* configuration (a consistent
 failure, e.g. binning an all-NULL column); a mix of success and failure
@@ -83,7 +86,8 @@ FUZZ_CHUNK_ROWS = 7
 class Mismatch:
     """One observed disagreement."""
 
-    kind: str  # "backend" | "cut" | "outcome" | "optimizer" | "construction"
+    # "backend" | "cut" | "outcome" | "optimizer" | "construction" | "protocol"
+    kind: str
     sink: Optional[str]
     run_a: str
     run_b: str
@@ -203,7 +207,15 @@ def _run_all_cuts(report, case, label, session, vectors):
         run_label = "{}/{}".format(label, vector_label)
         try:
             plan = session.custom_plan(vector, label=run_label)
+            trips = session.channel.stats.round_trips
             result = session.run_with_plan(plan)
+            trips = session.channel.stats.round_trips - trips
+            if trips > 1:
+                report.mismatches.append(Mismatch(
+                    kind="protocol", sink=None, run_a=run_label,
+                    run_b=run_label,
+                    detail="one run charged {} round trips".format(trips),
+                ))
             canon = {}
             for sink, rows in result.datasets.items():
                 fields = session.compiled.spec.mark_fields(sink) or None

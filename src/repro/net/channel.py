@@ -12,10 +12,16 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.metrics import NULL
+from repro.net.payload import request_bytes
 from repro.telemetry.tracer import NOOP
 
 #: default per-transfer log capacity; aggregates stay exact past it
 DEFAULT_LOG_CAPACITY = 256
+
+#: the virtual clock's tick.  Charged times are whole ticks, so sums and
+#: differences of them are exact in any order (below 2**13 seconds) and a
+#: round trip's cost can be split over its statements without remainder.
+TICKS_PER_SECOND = 2.0 ** 40
 
 
 @dataclass
@@ -108,9 +114,15 @@ class NetworkChannel:
             + self.transfer_seconds(response_bytes)
         )
 
-    def request(self, request_bytes, response_bytes, label=""):
-        """Account one round trip on the virtual clock; returns seconds."""
-        seconds = self.round_trip_seconds(request_bytes, response_bytes)
+    def charged(self, seconds):
+        """``seconds`` as the virtual clock counts it: in whole ticks."""
+        return round(seconds * TICKS_PER_SECOND) / TICKS_PER_SECOND
+
+    def request(self, request_bytes, response_bytes, label="", **attributes):
+        """Account one round trip on the virtual clock; returns seconds.
+        ``attributes`` go on the ``net.transfer`` span."""
+        seconds = self.charged(
+            self.round_trip_seconds(request_bytes, response_bytes))
         self.stats.round_trips += 1
         self.stats.bytes_sent += int(request_bytes)
         self.stats.bytes_received += int(response_bytes)
@@ -129,6 +141,7 @@ class NetworkChannel:
                 "net.transfer", seconds,
                 label=label, request_bytes=int(request_bytes),
                 response_bytes=int(response_bytes), virtual_seconds=seconds,
+                **attributes
             )
         if self.metrics.enabled:
             self.metrics.inc("net.round_trips")
@@ -144,3 +157,38 @@ class NetworkChannel:
         return "NetworkChannel(latency_ms={}, bandwidth_mbps={})".format(
             self.latency_ms, self.bandwidth_mbps
         )
+
+
+class Exchange:
+    """One interaction's server work crossing the link as one request.
+
+    Every program a run hands to the server joins the exchange (``sinks``
+    names who sent it) and every batch coming back is noted in
+    ``responses``; :meth:`close` then charges the link once — one
+    latency, however many statements and sinks took part.
+    """
+
+    __slots__ = ("channel", "programs", "sinks", "responses")
+
+    def __init__(self, channel):
+        self.channel = channel
+        #: serialised programs, in the order they joined
+        self.programs = []
+        self.sinks = []
+        #: wire bytes of each result batch of the response
+        self.responses = []
+
+    def close(self, label=""):
+        """Charge the round trip; returns the seconds each response
+        carries — the transfer time of its own bytes, the first also the
+        latency and the request — which add up to the charge exactly."""
+        channel = self.channel
+        seconds = channel.request(
+            request_bytes("".join(self.programs)), sum(self.responses),
+            label=label, statements=len(self.responses),
+            sinks=",".join(self.sinks),
+        )
+        shares = [channel.charged(channel.transfer_seconds(size))
+                  for size in self.responses]
+        shares[0] = seconds - sum(shares[1:])
+        return shares

@@ -129,37 +129,30 @@ def _segment_sql(session, sink, dataset_plan):
     if dataset_plan.cut == 0:
         return tooltips
     state = session._sink_state(sink)
+    sqls = []
+
+    def execute(sql, kind):
+        # straight to the backend: no cache, no channel, nothing recorded
+        sqls.append(sql)
+        return session.backend.execute(sql).table
+
     try:
         runner = ServerSegmentRunner(
-            session.backend, _NullChannel(), session.signals,
-            cache=None, merge=session.merge_queries,
-            rewrite=session.rewrite_sql,
+            session.backend, None, session.signals,
+            merge=session.merge_queries, rewrite=session.rewrite_sql,
         )
-        rows, values, columns = runner.run_segment(
+        program = runner.program(
             state.root, session.tables[state.root].column_names,
             state.steps, dataset_plan.cut,
         )
-        sqls = [entry.sql for entry in runner.queries]
-        if sqls:
-            tooltips[dataset_plan.cut - 1] = sqls[-1]
-            value_index = 0
-            for index, step in enumerate(state.steps[: dataset_plan.cut]):
-                from repro.dataflow.transforms.base import ValueTransform
-
-                if isinstance(step.operator, ValueTransform) and \
-                        value_index < len(sqls) - 1:
-                    tooltips[index] = sqls[value_index]
-                    value_index += 1
+        runner.walk(program, execute)
+        tooltips[dataset_plan.cut - 1] = sqls[-1]
+        value_steps = [index for index, step in enumerate(program.steps)
+                       if "name" in step]
+        tooltips.update(zip(value_steps, sqls[:-1]))
     except Exception:
         pass  # tooltips are cosmetic; never fail the dashboard
     return tooltips
-
-
-class _NullChannel:
-    """Network channel that records nothing (for tooltip regeneration)."""
-
-    def request(self, request_bytes, response_bytes, label=""):
-        return 0.0
 
 
 @dataclass

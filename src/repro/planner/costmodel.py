@@ -167,24 +167,22 @@ class CostModel:
         breakdown = CostBreakdown()
 
         # Server side.
+        extents = step_types[:cut].count("extent")
         if cut > 0:
             queries = 1 if merged else max(cut, 1)
-            breakdown.server += self.params.server_query_overhead * queries
+            # Value transforms (extent) execute as their own scalar query.
+            breakdown.server += self.params.server_query_overhead * (
+                queries + extents)
             for index in range(cut):
                 breakdown.server += self.server_step_cost(
                     step_types[index], estimates[index].rows
                 )
-            # Value transforms (extent) execute as their own scalar query
-            # even in the merged plan: one extra round trip each, with a
-            # tiny response.
-            for index in range(cut):
-                if step_types[index] == "extent":
-                    breakdown.network += self.channel.round_trip_seconds(
-                        request_bytes("value"), 64
-                    )
-                    breakdown.server += self.params.server_query_overhead
             if not merged:
-                # Each intermediate result crosses the network.
+                # Every scalar query is a round trip with a tiny response,
+                # and each intermediate result crosses the network.
+                breakdown.network += extents * self.channel.round_trip_seconds(
+                    request_bytes("value"), 64
+                )
                 for index in range(1, cut):
                     breakdown.network += self.channel.round_trip_seconds(
                         request_bytes("intermediate"),
@@ -203,6 +201,10 @@ class CostModel:
             ]
             if kept:
                 transfer_bytes = transfer.rows * sum(kept)
+        if merged:
+            # The segment crosses the link as one request: its scalar
+            # results ride in the same response as the rows.
+            transfer_bytes += 64 * extents
         breakdown.network += self.channel.round_trip_seconds(
             request_bytes("query"), transfer_bytes
         )

@@ -7,13 +7,12 @@ keeps the cheapest.  Linear pipelines make exhaustive cut enumeration
 cheap — exactly the structure Vega specs compile to.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.dataflow.operator import DataRef, OperatorRef, SignalRef
 from repro.engine import sqlast
 from repro.expr.evaluator import Evaluator
-from repro.expr.parser import parse
 from repro.planner.cardinality import estimate_step, from_table_stats
 from repro.planner.costmodel import CostModel, CostParameters
 from repro.planner.plans import CostBreakdown, DatasetPlan, PartitionPlan
@@ -37,6 +36,16 @@ class ChainStep:
     spec_type: str
     params: dict  # planning-resolved parameters
     operator: object  # the dataflow operator
+    _signal_names: Optional[frozenset] = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def signal_names(self, known_signals):
+        """Signals the step's parameters read.  Computed once: the chain
+        and the spec's signal set are both fixed at compile time."""
+        if self._signal_names is None:
+            self._signal_names = frozenset(
+                self.operator.signal_dependencies(set(known_signals)))
+        return self._signal_names
 
 
 def resolve_chain(compiled, sink):
@@ -81,7 +90,7 @@ def resolve_planning_params(operator, signals, server_tables=None):
     def resolve(value):
         if isinstance(value, SignalRef):
             try:
-                return evaluator.evaluate(parse(value.expression))
+                return evaluator.evaluate(value.ast)
             except Exception:
                 return None
         if isinstance(value, OperatorRef):

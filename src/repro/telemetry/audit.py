@@ -3,7 +3,7 @@
 The partition optimizer chooses cuts from *estimated* per-operator and
 per-transfer costs.  This module grades those estimates against what a
 session actually measured: per client operator, per server segment, and
-per network transfer it emits (predicted, measured, ratio) rows, and —
+per network exchange it emits (predicted, measured, ratio) rows, and —
 when candidate plans are re-executed — a rank correlation telling whether
 the model at least orders plans correctly (ordering is all the optimizer
 needs to pick the right cut).
@@ -204,6 +204,9 @@ def audit_session(session, result=None, run_candidates=True,
 
     report = MispredictionReport()
     model = CostModel(session.channel, session.cost_params)
+    #: (sink, dataset plan) of every segment that went to the server
+    fetched = []
+    measured_network = 0.0
 
     for sink, dataset_plan in (result.plan or session.plan).datasets.items():
         root, steps = resolve_chain(session.compiled, sink)
@@ -258,21 +261,28 @@ def audit_session(session, result=None, run_candidates=True,
                 )
             )
 
-        # The cut transfer: estimated network seconds vs the channel's
-        # accounted virtual time for this sink's round trips.
-        measured_network = sum(
-            entry.network_seconds for entry in result.queries
-            if entry.dataset in (sink, "")
-        )
-        if measured_network > 0:
-            report.entries.append(
-                AuditEntry(
-                    name="{}@cut={}".format(sink, cut), kind="transfer",
-                    dataset=sink,
-                    predicted=dataset_plan.estimate.network,
-                    measured=measured_network,
-                )
+        if sink_queries:
+            fetched.append((sink, dataset_plan))
+            measured_network += sum(
+                entry.network_seconds for entry in sink_queries)
+
+    # The transfer: everything a run fetches crosses the link as one
+    # exchange, so there is one row per run.  The model prices every
+    # segment as a request of its own; segments that shared the exchange
+    # shared its latency.
+    if measured_network > 0:
+        shared = (len(fetched) - 1) * session.channel.round_trip_seconds(0, 0)
+        report.entries.append(
+            AuditEntry(
+                name="exchange[{}]".format(",".join(
+                    "{}@cut={}".format(sink, plan.cut)
+                    for sink, plan in fetched)),
+                kind="transfer", dataset=fetched[0][0],
+                predicted=sum(
+                    plan.estimate.network for _, plan in fetched) - shared,
+                measured=measured_network,
             )
+        )
 
     if run_candidates:
         _measure_candidates(session, report, max_candidates)

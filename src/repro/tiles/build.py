@@ -63,48 +63,48 @@ def component_plan(measures):
 def build_cube(session, candidate, resolution=TILE_RESOLUTION):
     """(cube, runner) for a tile candidate.
 
-    The runner is returned for accounting: its ``server_seconds`` /
-    ``network_seconds`` / ``queries`` describe what the build cost."""
+    The whole build is one program — per brush axis an extent and the
+    grid bin the server derives from it, then the aggregate — so it
+    crosses the link as one request of its own.  The runner is returned
+    for accounting: its ``server_seconds`` / ``network_seconds`` /
+    ``queries`` describe what the build cost."""
     runner = ServerSegmentRunner(
         session.backend, session.channel, session.signals,
         cache=None, merge=session.merge_queries, rewrite=session.rewrite_sql,
         tracer=session.tracer, dataset=candidate.sink + ":tiles",
     )
     base_columns = session.tables[candidate.root].column_names
-    from repro.sqlgen import SqlPipelineBuilder
-
-    builder = SqlPipelineBuilder(candidate.root, base_columns)
-    axis_names = []
-    grids = []
+    chain = list(candidate.prefix)
+    if candidate.bin_step is not None:
+        chain.append(candidate.bin_step)
+    axis_names = ["__tb{}".format(position)
+                  for position in range(len(candidate.axes))]
+    ops, fields, names = component_plan(candidate.measures)
     try:
-        for step in candidate.prefix:
-            params = runner._resolve_params(step.operator, {})
-            builder.add_step(step.spec_type, params, session.signals)
-        for position, axis in enumerate(candidate.axes):
-            extent = runner.execute_value(
-                builder, "extent", {"field": axis.field})
-            grid = BrushGrid.from_extent(extent, resolution)
-            grids.append(grid)
-            name = "__tb{}".format(position)
-            axis_names.append(name)
-            builder.add_step("bin", {
-                "field": axis.field,
-                "extent": [grid.start, grid.top],
-                "step": grid.step,
-                "nice": False,
-                "as": [name, name + "_hi"],
-            }, session.signals)
-        if candidate.bin_step is not None:
-            params = runner._resolve_params(candidate.bin_step.operator, {})
-            builder.add_step("bin", params, session.signals)
-        ops, fields, names = component_plan(candidate.measures)
-        builder.add_step("aggregate", {
+        program = runner.program(
+            candidate.root, base_columns, chain, len(chain))
+        axis_steps = []
+        for name, axis in zip(axis_names, candidate.axes):
+            axis_steps.append({"type": "extent", "name": name + "_extent",
+                               "params": {"field": axis.field}})
+            axis_steps.append({"type": "bin",
+                               "grid": [name + "_extent", resolution],
+                               "params": {"field": axis.field, "nice": False,
+                                          "as": [name, name + "_hi"]}})
+        at = len(candidate.prefix)
+        program.steps[at:at] = axis_steps
+        program.steps.append({"type": "aggregate", "params": {
             "groupby": axis_names + list(candidate.groupby),
             "ops": ops,
             "fields": fields,
             "as": names,
-        }, session.signals)
-        batch = runner.execute_rows(builder)
+        }})
+        batch, _ = runner.run(program)
+        runner.close("tiles")
+        grids = [
+            BrushGrid.from_extent(program.values[name + "_extent"], resolution)
+            for name in axis_names
+        ]
     except Exception as exc:
         raise TileBuildError(str(exc)) from exc
     try:

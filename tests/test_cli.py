@@ -71,7 +71,13 @@ class TestCommands:
         assert code == 0
         assert "sampled points" in text
 
-    def test_latency_option_changes_plan(self):
+    def test_latency_moves_price_not_cut(self):
         __, fast = run(["demo", "--rows", "2000", "--latency", "1"])
         __, slow = run(["demo", "--rows", "2000", "--latency", "5000"])
-        assert "cut=0" in slow  # extreme latency pushes client-side
+        # either side of the cut costs one round trip, so latency moves
+        # the price and not the cut: pushdown keeps the smaller payload.
+        # No plan the CLI can reach depends on --latency any more; the
+        # unmerged baseline's still does (tests/test_one_round_trip.py::
+        # test_latency_still_moves_the_cut_of_the_unmerged_baseline).
+        assert "cut=3/3" in fast and "cut=3/3" in slow
+        assert "network 10.00" in slow and "network 10.00" not in fast
