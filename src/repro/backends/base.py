@@ -3,14 +3,14 @@
 The paper's middleware supports multiple DBMS back-ends (PostgreSQL,
 OmniSciDB, DuckDB).  This reproduction keeps the same pluggable boundary:
 everything above talks SQL text to a :class:`Backend` and receives engine
-:class:`~repro.engine.table.Table` results plus wall-clock timings.
+:class:`~repro.data.Table` results plus wall-clock timings.
 """
 
 import abc
 import time
 from dataclasses import dataclass
 
-from repro.engine.table import Table
+from repro.data import Table
 
 
 @dataclass

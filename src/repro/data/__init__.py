@@ -12,6 +12,7 @@ from repro.data.batch import (
     ColumnBatch,
     Table,
     concat_batches,
+    concat_columns,
     concat_tables,
 )
 from repro.data.chunked import (
@@ -29,6 +30,7 @@ __all__ = [
     "ColumnBatch",
     "Table",
     "concat_batches",
+    "concat_columns",
     "concat_tables",
     "SQLType",
     "infer_type",

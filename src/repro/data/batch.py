@@ -1,7 +1,7 @@
 """Columnar batches: the layer-neutral interchange format.
 
-A :class:`ColumnBatch` (historically ``engine.table.Table``, which is
-kept as an alias) is an ordered mapping of column name -> :class:`Column`
+A :class:`ColumnBatch` (also exported as ``Table``, the engine's name
+for it) is an ordered mapping of column name -> :class:`Column`
 — typed numpy arrays with validity masks.  The batch is the unit that
 crosses every layer boundary: backends produce batches, the query cache
 and the network payload model account batches, and dataflow pulses carry

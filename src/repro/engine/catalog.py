@@ -10,8 +10,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.data import Table
 from repro.engine.errors import CatalogError
-from repro.engine.table import Table
 from repro.engine.types import SQLType
 
 _DISTINCT_SAMPLE = 100_000

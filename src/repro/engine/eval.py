@@ -12,10 +12,10 @@ whose predicate is valid *and* true.
 
 import numpy as np
 
+from repro.data import Column, Table
 from repro.engine import sqlast
 from repro.engine.errors import ExecutionError, PlanError
 from repro.engine.functions import like_match, regexp_match, scalar_function
-from repro.engine.table import Column, Table
 from repro.engine.types import SQLType
 
 

@@ -54,6 +54,7 @@ from functools import partial
 
 import numpy as np
 
+from repro.data import Column, concat_columns
 from repro.engine import sqlast
 from repro.engine.errors import ExecutionError, PlanError
 from repro.engine.eval import Frame, evaluate, predicate_mask
@@ -91,7 +92,6 @@ from repro.engine.parallel import (
     slice_frame,
     worker_index,
 )
-from repro.engine.table import Column, concat_columns
 from repro.engine.types import SQLType
 
 

@@ -1,7 +1,7 @@
 """Scalar and aggregate function implementations for the embedded engine.
 
 Scalar functions are vectorized: they take and return
-:class:`~repro.engine.table.Column` objects.  Aggregate functions take a
+:class:`~repro.data.Column` objects.  Aggregate functions take a
 Column (already restricted to one group) and return a Python scalar or
 None.
 """
@@ -12,8 +12,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from repro.data import Column
 from repro.engine.errors import ExecutionError
-from repro.engine.table import Column
 from repro.engine.types import SQLType
 
 

@@ -9,8 +9,8 @@ import csv
 import io
 import json
 
+from repro.data import Column, Table
 from repro.engine.errors import EngineError
-from repro.engine.table import Column, Table
 from repro.engine.types import SQLType
 
 

@@ -26,8 +26,8 @@ import numpy as np
 
 from repro.data.batch import factorize_strings
 from repro.data.grouping import grouped_minmax
+from repro.data import Column
 from repro.engine.sqlast import Star
-from repro.engine.table import Column
 from repro.engine.types import SQLType
 
 #: composite integer codes (group ids, sort orders, join keys) must stay

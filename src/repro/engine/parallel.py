@@ -15,8 +15,8 @@ inside the kernels).
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+from repro.data import concat_columns
 from repro.engine.eval import Frame
-from repro.engine.table import concat_columns
 
 #: default rows per morsel
 DEFAULT_MORSEL_ROWS = 65536

@@ -90,7 +90,7 @@ def canonical_rows(rows, fields=None, float_digits=FLOAT_DIGITS):
 
 
 def canonical_table(table, fields=None, float_digits=FLOAT_DIGITS):
-    """Canonical form of an engine :class:`~repro.engine.table.Table`."""
+    """Canonical form of an engine :class:`~repro.data.Table`."""
     return canonical_rows(table.to_rows(), fields=fields,
                           float_digits=float_digits)
 

@@ -18,7 +18,6 @@ Entry points::
 
     python -m repro.metrics --demo              # top-style live view
     python -m repro.metrics.validate m.prom     # exposition validator
-    python -m repro.metrics.regress             # bench baseline gate
 """
 
 from repro.metrics.export import (

@@ -43,8 +43,8 @@ def percentile(values, q):
     """Nearest-rank percentile: the smallest value with at least ``q``
     percent of the sample at or below it.  0.0 on an empty sample.
 
-    This is the single shared implementation — the windowed histograms
-    and the benchmark suite (``benchmarks/conftest.py`` re-exports it)
+    This is the single shared implementation — the windowed histograms,
+    the serving load report and the paper-claim tests (``tests/paper``)
     must agree, and do so by construction.
     """
     ordered = sorted(values)

@@ -15,8 +15,10 @@ CLI::
     python -m repro.perf.scale_sweep --scales 1000000,10000000,100000000
     python -m repro.perf.scale_sweep --child --rows 1000000   # one scale
 
-The parent emits a JSON document shaped for ``BENCH_scaling.json``
-(see ``benchmarks/bench_e14_scaling.py``).
+The parent prints one JSON document (``--out`` writes it to a file):
+per scale, the child's record.  ``tests/test_chunked.py`` runs it at
+2M rows and asserts zero query consolidations and net RSS under half
+the on-disk size.
 """
 
 import argparse

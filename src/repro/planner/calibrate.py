@@ -79,7 +79,7 @@ def calibrate(backend=None, client_rows=20_000, server_rows=100_000):
     )
 
 
-def refit_from_report(report, base_params=None, parallel_speedup=None):
+def refit_from_report(report, base_params=None):
     """Rescale cost constants from a telemetry misprediction report.
 
     ``report`` is a :class:`repro.telemetry.MispredictionReport` (or any
@@ -91,10 +91,6 @@ def refit_from_report(report, base_params=None, parallel_speedup=None):
     predicted, the client per-row cost triples.  Kinds with no audit
     entries keep their base value.
 
-    ``parallel_speedup`` optionally refits ``parallel_efficiency`` from a
-    measured end-to-end speedup at ``base_params.server_workers`` workers
-    (e.g. the ``speedup_vs_serial`` field of BENCH_parallel.json),
-    inverting the ``1 + (workers - 1) * efficiency`` throughput model.
     The parallel fields always carry over from ``base_params`` — a refit
     must not silently demote a parallel deployment back to serial
     costing.
@@ -107,16 +103,6 @@ def refit_from_report(report, base_params=None, parallel_speedup=None):
             return value
         return value * ratio
 
-    workers = max(int(getattr(params, "server_workers", 1) or 1), 1)
-    efficiency = params.parallel_efficiency
-    if parallel_speedup is not None and workers > 1:
-        fitted = (float(parallel_speedup) - 1.0) / (workers - 1)
-        # An efficiency above 1 (each added worker worth more than a
-        # whole serial engine) is not physical: a measured speedup that
-        # implies one compares unlike kernels, as the legacy
-        # BENCH_parallel.json figure of 2.01 did.
-        efficiency = min(max(fitted, 0.05), 1.0)
-
     return CostParameters(
         client_row_cost=scaled(params.client_row_cost, "client-op"),
         server_row_cost=scaled(params.server_row_cost, "server-segment"),
@@ -125,7 +111,7 @@ def refit_from_report(report, base_params=None, parallel_speedup=None):
         render_row_cost=params.render_row_cost,
         client_slowdown=params.client_slowdown,
         server_workers=params.server_workers,
-        parallel_efficiency=efficiency,
+        parallel_efficiency=params.parallel_efficiency,
         # Tile costing refits from measured slice times when the audit
         # carries them; the remaining tile fields always carry over so a
         # refit never silently changes the tile-vs-requery policy.

@@ -143,8 +143,7 @@ def _type_kind(sql_type):
 
 
 def _zero_row_table(column_types):
-    from repro.engine import Table
-    from repro.engine.table import Column
+    from repro.data import Column, Table
 
     table = Table()
     for name, sql_type in column_types:

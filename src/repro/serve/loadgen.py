@@ -13,9 +13,11 @@ The driver speaks real HTTP over ``asyncio.open_connection`` (keep-alive,
 one connection per user) against a :class:`repro.serve.app.ServingApp`,
 counts every request into exactly one of served / rejected(reason) /
 error, and summarizes per-tenant and per-event p50/p95/p99 with the same
-:func:`repro.metrics.latency_summary` the metrics plane uses.  The
-payload it returns is what ``benchmarks/bench_e13_serving.py`` writes to
-``BENCH_serving.json`` via ``write_bench_record``.
+:func:`repro.metrics.latency_summary` the metrics plane uses.
+
+CLI (``--out`` also writes the report as JSON)::
+
+    python -m repro.serve.loadgen --rows 20000 --users 6 --events 12
 """
 
 import asyncio
@@ -257,11 +259,12 @@ async def _drive_user(host, port, tenant, dashboard, trace, scenario,
 
 
 async def run_load(host, port, spec, scenario):
-    """Drive every scripted user concurrently; returns the BENCH payload.
+    """Drive every scripted user concurrently; returns the load report.
 
     Every issued request lands in exactly one bucket (served, rejected
     by reason, or error); ``totals.unaccounted`` is the difference and
-    must be 0 — the regression gate enforces it.
+    must be 0 — ``tests/test_serve_e2e.py`` asserts it, and the CLI
+    exits 1 otherwise.
     """
     traces = build_user_traces(
         spec, scenario.tenants.keys(),
@@ -393,9 +396,6 @@ async def run_default(rows=20_000, users_per_tenant=6, events_per_user=12,
 
 def main(argv=None):
     import argparse
-    import datetime
-    import os
-    import sys
 
     parser = argparse.ArgumentParser(
         prog="repro.serve.loadgen",
@@ -409,7 +409,7 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--parallelism", type=int, default=None)
     parser.add_argument("--out", default=None, metavar="PATH",
-                        help="write a BENCH_serving.json record here")
+                        help="write the load report here as JSON")
     args = parser.parse_args(argv)
 
     payload = asyncio.run(run_default(
@@ -428,18 +428,10 @@ def main(argv=None):
                   tenant, body["served"], body["rejected_total"],
                   latency["p50_s"], latency["p95_s"], latency["p99_s"]))
     if args.out:
-        record = {
-            "benchmark": "serving",
-            "git_sha": None,
-            "timestamp": datetime.datetime.now(
-                datetime.timezone.utc).isoformat(),
-            "scale": float(os.environ.get("REPRO_BENCH_SCALE", "1.0")),
-            "results": payload,
-        }
         with open(args.out, "w") as handle:
-            json.dump(record, handle, indent=2, sort_keys=True)
+            json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        print("record written to {}".format(args.out))
+        print("report written to {}".format(args.out))
     return 0 if totals["unaccounted"] == 0 and totals["errors"] == 0 else 1
 
 

@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.data import Column
 from repro.engine import Database, Table
 from repro.engine.kernels import (
     aggregate_states,
@@ -24,7 +25,6 @@ from repro.engine.kernels import (
     factorize_rows_first,
     state_column,
 )
-from repro.engine.table import Column
 from repro.engine.types import SQLType
 
 SEEDS = range(12)

@@ -18,6 +18,7 @@ Three guarantees the batch refactor must keep:
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core import VegaPlus
@@ -176,6 +177,39 @@ class TestNoRowTripsOnHappyPath:
         assert entry_source.count("from_rows(") == 1  # CacheEntry.as_batch
 
 
+class TestColumnarPipelineDicts:
+    def test_columnar_builds_only_output_dicts(self, monkeypatch):
+        """filter -> bin -> aggregate over a 1M-row batch builds dict rows
+        only for its 26 renderer-facing output rows, counted at
+        ``ColumnBatch.iter_rows``, the one funnel every row
+        materialization goes through."""
+        rng = np.random.default_rng(11)
+        pulse = Pulse(batch=ColumnBatch.from_columns(
+            v=rng.normal(size=1_000_000),
+            w=rng.gamma(2.0, 5.0, size=1_000_000),
+        ), changed=True)
+        built = []
+        iter_rows = ColumnBatch.iter_rows
+
+        def counted(batch):
+            for row in iter_rows(batch):
+                built.append(1)
+                yield row
+
+        monkeypatch.setattr(ColumnBatch, "iter_rows", counted)
+        for spec_type, params in [
+            ("filter", {"expr": "datum.v > -1"}),
+            ("bin", {"field": "v", "extent": [-4.0, 4.0], "maxbins": 50}),
+            ("aggregate", {"groupby": ["bin0", "bin1"],
+                           "ops": ["count", "mean"],
+                           "fields": [None, "v"]}),
+        ]:
+            transform = create_transform(spec_type, spec_type, params, None)
+            transform.columnar = True
+            pulse = transform.run(pulse, params, {})
+        assert len(pulse.rows) == len(built) == 26
+
+
 class TestPassthroughTelemetry:
     def _session(self, columnar):
         session = VegaPlus(
@@ -218,10 +252,8 @@ class TestDataPackage:
     def test_table_is_the_batch(self):
         assert Table is ColumnBatch
         from repro.engine import Table as EngineTable
-        from repro.engine.table import ColumnBatch as EngineBatch
 
         assert EngineTable is ColumnBatch
-        assert EngineBatch is ColumnBatch
 
     def test_from_values_folds_nan_to_null(self):
         column = Column.from_values([1.0, float("nan"), None, 2.5])

@@ -117,7 +117,7 @@ class TestIncrementalStatistics:
         import numpy as np
 
         from repro.engine import append_stats, catalog, compute_stats
-        from repro.engine.table import concat_tables
+        from repro.data import concat_tables
 
         monkeypatch.setattr(catalog, "_DISTINCT_SAMPLE", sample)
         rng = np.random.default_rng(5)
@@ -136,7 +136,7 @@ class TestIncrementalStatistics:
 
     def test_first_values_after_an_all_null_history(self):
         from repro.engine import append_stats, compute_stats
-        from repro.engine.table import concat_tables
+        from repro.data import concat_tables
 
         old = Table.from_columns(x=[None, None], s=[None, None])
         new = Table.from_columns(x=[3.0, -1.0], s=["ab", None])

@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.data import ArrayChunk, DictChunk
+from repro.data import (
+    ArrayChunk,
+    Column,
+    DictChunk,
+    Table,
+    concat_tables,
+)
 from repro.engine.errors import CatalogError, TypeMismatchError
-from repro.engine.table import Column, Table, concat_tables
 from repro.engine.types import SQLType, infer_type
 
 

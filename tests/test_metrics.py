@@ -1,7 +1,6 @@
 """The always-on metrics plane: labeled registry, sliding windows,
 Prometheus export, the slow-query log, and the session integration."""
 
-import io
 import json
 import time
 
@@ -24,7 +23,6 @@ from repro.metrics import (
     resolve_metrics,
     snapshot_json,
 )
-from repro.metrics.regress import Rule, compare_records
 from repro.metrics.validate import validate_exposition
 from repro.spec import flights_histogram_spec
 from repro.telemetry import Tracer
@@ -580,83 +578,6 @@ class TestSessionMetrics:
         # fast workload cannot flake the guard.
         assert on <= off * 1.05 + 0.005, \
             "metrics overhead {:.4f}s vs {:.4f}s".format(on, off)
-
-
-# -- regression gate ---------------------------------------------------------
-
-
-class TestRegressGate:
-    BASE = {
-        "benchmark": "parallel", "scale": 1.0, "timestamp": "t",
-        "results": {"queries": {"aggregate": {
-            "speedup_vs_serial": {"workers2": 8.0, "workers4": 12.0}}}},
-    }
-
-    def rules(self):
-        return [Rule("queries.*.speedup_vs_serial.*", "higher",
-                     ratio=0.5, floor=1.5)]
-
-    def current(self, w2, w4, scale=1.0):
-        return {
-            "benchmark": "parallel", "scale": scale, "timestamp": "t",
-            "results": {"queries": {"aggregate": {
-                "speedup_vs_serial": {"workers2": w2, "workers4": w4}}}},
-        }
-
-    def test_clean_pass(self):
-        findings = compare_records(
-            "parallel", self.BASE, self.current(7.9, 12.1),
-            rules=self.rules())
-        assert all(f.ok for f in findings)
-
-    def test_ratio_regression_fails(self):
-        findings = compare_records(
-            "parallel", self.BASE, self.current(3.0, 12.0),
-            rules=self.rules())
-        bad = [f for f in findings if not f.ok]
-        assert len(bad) == 1
-        assert bad[0].check == "ratio"
-        assert bad[0].path == "queries.aggregate.speedup_vs_serial.workers2"
-
-    def test_floor_violation_fails_even_cross_scale(self):
-        findings = compare_records(
-            "parallel", self.BASE, self.current(1.2, 12.0, scale=0.2),
-            rules=self.rules())
-        bad = [f for f in findings if not f.ok]
-        assert [f.check for f in bad] == ["floor"]
-
-    def test_cross_scale_skips_ratio_checks(self):
-        findings = compare_records(
-            "parallel", self.BASE, self.current(2.0, 2.0, scale=0.2),
-            rules=self.rules())
-        assert not any(f.check == "ratio" for f in findings)
-        assert all(f.ok for f in findings)  # floors still pass
-
-    def test_missing_metric_fails(self):
-        current = {"benchmark": "parallel", "scale": 1.0, "timestamp": "t",
-                   "results": {}}
-        findings = compare_records("parallel", self.BASE, current,
-                                   rules=self.rules())
-        assert any(f.check == "presence" and not f.ok for f in findings)
-
-    def test_floor_applies_to_metric_the_baseline_predates(self):
-        rules = [Rule("queries.*.serial_fallbacks.*", "lower", ratio=None,
-                      floor=0)]
-        for count, ok in ((0, True), (1, False)):
-            current = self.current(8.0, 12.0)
-            current["results"]["queries"]["aggregate"][
-                "serial_fallbacks"] = {"workers4": count}
-            findings = compare_records("parallel", self.BASE, current,
-                                       rules=rules)
-            assert [(f.check, f.ok) for f in findings] == [("floor", ok)]
-
-    def test_repo_baselines_pass_against_themselves(self):
-        from repro.metrics.regress import run
-
-        out = io.StringIO()
-        status = run("benchmarks/baselines", "benchmarks/baselines",
-                     out=out)
-        assert status == 0, out.getvalue()
 
 
 # -- CLIs --------------------------------------------------------------------

@@ -637,12 +637,34 @@ def test_mixed_decomposable_and_not_in_one_query():
     )
 
 
-def test_fallback_reasons_absent_on_clean_parallel_plans():
-    num_rows = 4 * MORSEL
+@pytest.mark.parametrize("sql", [
+    pytest.param('SELECT "k", COUNT(*) AS n FROM "t" GROUP BY "k"',
+                 id="count"),
+    # the fused filter + partial aggregate with a columnar merge
+    pytest.param('SELECT "k", COUNT(*) AS c, SUM("v") AS s FROM "t" '
+                 'WHERE "v" > -1.0 GROUP BY "k"', id="filter-sum"),
+    # the per-morsel top-N candidate merge
+    pytest.param('SELECT * FROM "t" ORDER BY "v" LIMIT 100', id="topn"),
+])
+def test_fallback_reasons_absent_on_clean_parallel_plans(sql):
+    """No node gathers its input, at one worker or four; the nodes that
+    split run at least one task per morsel, and one worker splits the
+    same nodes into the same number of tasks as four."""
+    num_rows = 20 * MORSEL + 3
+    rng = np.random.default_rng(10)
     tables = {"t": Table.from_columns(
-        k=[float(index % 3) for index in range(num_rows)],
-        v=[float(index) for index in range(num_rows)],
+        k=rng.integers(0, 128, num_rows).astype(np.float64),
+        v=rng.normal(size=num_rows),
     )}
-    sql = 'SELECT "k", COUNT(*) AS n FROM "t" GROUP BY "k"'
-    parallel_db = run_both(sql, tables)
-    assert fallback_reasons(parallel_db, sql) == set()
+    run_both(sql, tables, sum_avg_columns={"s"})
+    split_nodes = {}
+    for workers in (1, WORKERS):
+        db = Database(parallelism=workers, morsel_rows=MORSEL)
+        db.load_table("t", tables["t"])
+        assert fallback_reasons(db, sql) == set()
+        _, nodes = db.explain_analyze_data(sql)
+        split_nodes[workers] = [(node["label"], len(node["morsels"]))
+                                for node in nodes if node.get("morsels")]
+        assert sum(tasks for _, tasks in split_nodes[workers]) \
+            >= num_rows // MORSEL
+    assert split_nodes[1] == split_nodes[WORKERS]

@@ -86,6 +86,7 @@ def test_serving_smoke_end_to_end():
         mirror = server["tenants"][tenant]
         assert mirror["requests"] == body["issued"]
         assert mirror["served"] == body["served"]
+        assert body["served"] > 0  # admission throttles, never starves
 
     # -- the scraped exposition is structurally valid and complete ------
     problems = validate_exposition(metrics_text, require=[

@@ -2,8 +2,7 @@
 
 Soak runs must be reproducible: the same seed yields the *same scripted
 users* — identical (signal, value) event sequences — and therefore
-identical issued-event counts in the BENCH_serving payload, run after
-run.  Latencies are wall-clock and may differ; the event plan may not.
+identical issued-event counts in the load report, run after run.  Latencies are wall-clock and may differ; the event plan may not.
 """
 
 import asyncio
