@@ -3,7 +3,11 @@
 import numpy as np
 
 from repro.data import Column, ColumnBatch, SQLType
-from repro.data.grouping import grouped_counts, grouped_minmax, grouped_sums
+from repro.data.grouping import (
+    Unvectorizable,
+    aggregate_states,
+    factorize_rows_first,
+)
 from repro.dataflow.transforms.aggops import (
     aggregate_op,
     default_output_name,
@@ -14,7 +18,6 @@ from repro.dataflow.transforms.base import (
     TransformError,
     register_transform,
 )
-from repro.dataflow.vectorized import Unvectorizable
 
 
 def _measures(params):
@@ -46,68 +49,39 @@ def _apply_measures(rows, triples):
     return out
 
 
-def _effective_valid(column):
-    """Slots holding a real value for grouping/aggregation purposes: the
-    validity mask, minus NaN for DOUBLE (``group_key`` folds NaN into
-    None and ``_valid``/``_numbers`` drop it)."""
-    if column.type is SQLType.DOUBLE:
-        with np.errstate(invalid="ignore"):
-            return column.valid & ~np.isnan(column.data)
-    return column.valid
-
-
-def _value_codes(batch, field):
-    """(codes, cardinality, column) for one field: dense non-negative
-    integer codes per distinct value, -1 for NULL."""
-    count = batch.num_rows
+def value_column(batch, field):
+    """One field as the aggregate reads it: NaN folded to NULL (like
+    ``group_key`` folds it and ``_valid``/``_numbers`` drop it), a field
+    the batch lacks all NULL."""
     column = batch.columns.get(field)
     if column is None:
-        return np.full(count, -1, dtype=np.int64), 0, None
-    valid = _effective_valid(column)
-    data = column.data
-    if column.type is SQLType.DOUBLE:
-        # neutralize masked slots so unique() never sees NaN
-        data = np.where(valid, data, 0.0)
-    elif column.type is SQLType.BOOLEAN:
-        data = data.astype(np.int8)
-    _, inverse = np.unique(data, return_inverse=True)
-    codes = np.where(valid, inverse.astype(np.int64), -1)
-    cardinality = int(inverse.max()) + 1 if count else 0
-    return codes, cardinality, column
+        return Column.nulls(SQLType.DOUBLE, batch.num_rows)
+    if column.type is not SQLType.DOUBLE:
+        return column
+    valid = column.valid & ~np.isnan(column.data)
+    return Column(SQLType.DOUBLE, column.data, valid)
 
 
-def _group_ids(batch, groupby):
-    """First-seen-order group assignment over the groupby columns.
+def group_batch(batch, groupby):
+    """First-seen-order groups over the groupby fields.
 
-    Returns (gid, n_groups, first_rows): a group index per row, the group
-    count, and the row index of each group's first member (in output
-    order).  With no groupby there is a single global group — present
-    even for an empty batch, matching the row path's one-row output.
+    Returns ``(gid, n_groups, keys)``: a group index per row, the group
+    count, and per groupby field the column of each group's key, taken
+    from its first row.  With no groupby there is a single global group
+    — present even for an empty batch, matching the row path's one-row
+    output.
     """
     count = batch.num_rows
     if not groupby:
-        return (np.zeros(count, dtype=np.int64), 1,
-                np.zeros(0, dtype=np.int64))
-    combined = np.zeros(count, dtype=np.int64)
-    for field in groupby:
-        codes, cardinality, _ = _value_codes(batch, field)
-        combined = combined * (cardinality + 1) + (codes + 1)
-    uniq, first_idx, inverse = np.unique(
-        combined, return_index=True, return_inverse=True)
-    order = np.argsort(first_idx, kind="stable")
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[order] = np.arange(len(uniq))
-    return rank[inverse], len(uniq), first_idx[order]
-
-
-def _key_column(batch, field, first_rows):
-    """The output column for one groupby field: each group's key value,
-    taken from its first row (NaN folded to NULL like ``group_key``)."""
-    column = batch.columns.get(field)
-    if column is None:
-        return Column.nulls(SQLType.DOUBLE, len(first_rows))
-    return Column(
-        column.type, column.data, _effective_valid(column)).take(first_rows)
+        return np.zeros(count, dtype=np.int64), 1, []
+    columns = [value_column(batch, field) for field in groupby]
+    gid, n_groups, first = factorize_rows_first(columns, count)
+    # factorization numbers groups in key order; Vega's are first-seen
+    order = np.argsort(first)
+    rank = np.empty(n_groups, dtype=np.int64)
+    rank[order] = np.arange(n_groups)
+    first = first[order]
+    return rank[gid], n_groups, [column.take(first) for column in columns]
 
 
 def _grouped_distinct(data, gid, n_groups, valid):
@@ -127,61 +101,37 @@ def _grouped_distinct(data, gid, n_groups, valid):
 def _measure_column(batch, op, field, gid, n_groups, sizes):
     """One aggregate measure as an output column, replicating the
     semantics of the row-path ``op_*`` functions exactly."""
+    if op == "count":
+        return Column(SQLType.DOUBLE, sizes)
     if field is None:
         # the row path aggregates over the row dicts themselves; only
         # count is meaningful there
-        if op != "count":
-            raise Unvectorizable("field-less op {!r}".format(op))
-        return Column(SQLType.DOUBLE, sizes)
-    if op == "count":
-        return Column(SQLType.DOUBLE, sizes)
-    column = batch.columns.get(field)
-    if column is None:
-        valid = np.zeros(batch.num_rows, dtype=np.bool_)
-        data = np.zeros(batch.num_rows, dtype=np.float64)
-        sql_type = SQLType.DOUBLE
-    else:
-        valid = _effective_valid(column)
-        data = column.data
-        sql_type = column.type
-    valid_counts = grouped_counts(gid, n_groups, valid)
-    if op == "valid":
-        return Column(SQLType.DOUBLE, valid_counts)
-    if op == "missing":
-        return Column(SQLType.DOUBLE, sizes - valid_counts)
+        raise Unvectorizable("field-less op {!r}".format(op))
+    column = value_column(batch, field)
+    if op in ("valid", "missing"):
+        (valid,) = aggregate_states("count", column, gid, n_groups)
+        if op == "missing":
+            valid = sizes - valid
+        return Column(SQLType.DOUBLE, valid)
     if op == "distinct":
-        return Column(
-            SQLType.DOUBLE, _grouped_distinct(data, gid, n_groups, valid))
-    # numeric slots: _numbers() keeps numbers and booleans, drops strings
-    if sql_type is SQLType.VARCHAR:
-        numeric_valid = np.zeros(len(valid), dtype=np.bool_)
-        numeric_data = np.zeros(len(valid), dtype=np.float64)
-    else:
-        numeric_valid = valid
-        numeric_data = data.astype(np.float64) \
-            if sql_type is SQLType.BOOLEAN else data
-    if op == "sum":
-        return Column(SQLType.DOUBLE,
-                      grouped_sums(gid, n_groups, numeric_data, numeric_valid))
-    if op in ("mean", "average"):
-        counts = grouped_counts(gid, n_groups, numeric_valid)
-        sums = grouped_sums(gid, n_groups, numeric_data, numeric_valid)
+        return Column(SQLType.DOUBLE, _grouped_distinct(
+            column.data, gid, n_groups, column.valid))
+    if op in ("sum", "mean", "average"):
+        if column.type is SQLType.VARCHAR:
+            # _numbers() keeps numbers and booleans, drops strings
+            column = Column.nulls(SQLType.DOUBLE, batch.num_rows)
+        sums, counts = aggregate_states("sum", column, gid, n_groups)
+        if op == "sum":
+            return Column(SQLType.DOUBLE, sums)
         present = counts > 0
         means = np.where(present, sums / np.maximum(counts, 1), 0.0)
         return Column(SQLType.DOUBLE, means, present)
     if op in ("min", "max"):
-        if sql_type is SQLType.VARCHAR:
+        if column.type is SQLType.VARCHAR:
             # keep the row path's string comparison semantics
             raise Unvectorizable("string min/max")
-        reducer = np.minimum if op == "min" else np.maximum
-        if sql_type is SQLType.BOOLEAN:
-            out_data, out_valid = grouped_minmax(
-                data.astype(np.int8), gid, n_groups, valid, reducer)
-            return Column(
-                SQLType.BOOLEAN, out_data.astype(np.bool_), out_valid)
-        out_data, out_valid = grouped_minmax(
-            data, gid, n_groups, valid, reducer)
-        return Column(SQLType.DOUBLE, out_data, out_valid)
+        values, present = aggregate_states(op, column, gid, n_groups)
+        return Column(column.type, values, present)
     # variance/stdev/median/quantiles: fall back to the row path
     raise Unvectorizable("aggregate op {!r}".format(op))
 
@@ -213,11 +163,11 @@ class AggregateTransform(Transform):
     def transform_batch(self, batch, params, signals):
         groupby = params.get("groupby") or []
         triples = _measures(params)
-        gid, n_groups, first_rows = _group_ids(batch, groupby)
-        sizes = np.bincount(gid, minlength=n_groups).astype(np.float64)
+        gid, n_groups, keys = group_batch(batch, groupby)
+        (sizes,) = aggregate_states("count_star", None, gid, n_groups)
         out = ColumnBatch()
-        for field in groupby:
-            out.set_column(field, _key_column(batch, field, first_rows))
+        for field, column in zip(groupby, keys):
+            out.set_column(field, column)
         for op, field, name in triples:
             out.set_column(
                 name, _measure_column(batch, op, field, gid, n_groups, sizes))

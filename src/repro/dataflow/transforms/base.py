@@ -7,9 +7,9 @@ translation capability per type in :mod:`repro.sqlgen.translate`.
 """
 
 from repro.data import ColumnBatch, concat_batches
+from repro.data.grouping import Unvectorizable
 from repro.dataflow.operator import Operator
 from repro.dataflow.pulse import Pulse
-from repro.dataflow.vectorized import Unvectorizable
 
 
 class TransformError(Exception):

@@ -5,12 +5,13 @@ import random
 import re
 
 from repro.data import Column, ColumnBatch, SQLType
+from repro.data.grouping import Unvectorizable
 from repro.dataflow.transforms.base import (
     Transform,
     TransformError,
     register_transform,
 )
-from repro.dataflow.vectorized import Unvectorizable, VectorEvaluator
+from repro.dataflow.vectorized import VectorEvaluator
 from repro.expr.evaluator import Evaluator
 from repro.expr.functions import _boolean
 from repro.expr.parser import parse

@@ -5,13 +5,13 @@ import math
 import numpy as np
 
 from repro.data import Column, ColumnBatch, SQLType
+from repro.data.grouping import Unvectorizable
 from repro.dataflow.transforms.base import (
     Transform,
     TransformError,
     ValueTransform,
     register_transform,
 )
-from repro.dataflow.vectorized import Unvectorizable
 
 
 def bin_params(extent, maxbins=20, step=None, nice=True, minstep=0.0):

@@ -20,8 +20,7 @@ correct NULL semantics from IEEE NaN propagation.
 import numpy as np
 
 from repro.data import Column, SQLType
-from repro.data.grouping import Unvectorizable  # noqa: F401  (canonical home;
-# re-exported here because every transform imports it from this module)
+from repro.data.grouping import Unvectorizable
 from repro.expr import ast
 from repro.expr.functions import (
     CONSTANTS,

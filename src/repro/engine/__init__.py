@@ -1,6 +1,6 @@
 """Embedded columnar SQL engine (the reproduction's DBMS substrate)."""
 
-from repro.data import Column, Table, concat_tables
+from repro.data import Column, SQLType, Table, concat_tables
 from repro.engine.catalog import (
     Catalog,
     ColumnStats,
@@ -18,7 +18,6 @@ from repro.engine.errors import (
     TypeMismatchError,
 )
 from repro.engine.executor import MorselExecutor
-from repro.engine.types import SQLType
 
 __all__ = [
     "Catalog",

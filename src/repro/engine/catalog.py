@@ -10,9 +10,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.data import Table
+from repro.data import SQLType, Table
 from repro.engine.errors import CatalogError
-from repro.engine.types import SQLType
 
 _DISTINCT_SAMPLE = 100_000
 
@@ -173,7 +172,7 @@ class Catalog:
     VARCHAR columns of a registered table are dictionary-coded
     (:meth:`repro.data.Column.encode`).  Only grouping (group-by,
     DISTINCT and partition keys and the rank of a sort key, through
-    ``kernels.factorize_column``), MIN/MAX, statistics and byte
+    ``repro.data.grouping.factorize_column``), MIN/MAX, statistics and byte
     accounting (``nbytes``) read the integer codes; filtering does
     not — predicates, every other expression and join keys decode the
     column (``.data``)."""

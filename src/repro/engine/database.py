@@ -7,7 +7,7 @@ analytical SQL engine the VegaPlus middleware can offload work to.
 
 import threading
 
-from repro.data import Column, Table
+from repro.data import Column, SQLType, Table
 from repro.engine.binder import bind
 from repro.engine.catalog import Catalog
 from repro.engine.errors import EngineError
@@ -19,7 +19,6 @@ from repro.engine.executor import (
 from repro.engine.logical import format_plan
 from repro.engine.optimizer import optimize
 from repro.engine.parser import parse_statement
-from repro.engine.types import SQLType
 
 
 class Database:

@@ -16,7 +16,7 @@ answer.
   morsel tasks (no intermediate materialization) outside of EXPLAIN
   ANALYZE.
 * **Aggregate** — two-phase: each morsel factorizes its group keys and
-  reduces them to partial states (:mod:`repro.engine.kernels`); the
+  reduces them to partial states (:mod:`repro.data.grouping`); the
   merge re-factorizes the concatenated local key rows and merges the
   states.  Group order is the unsplit one because factorization order
   depends only on the distinct key values, and each group's key bytes
@@ -54,12 +54,8 @@ from functools import partial
 
 import numpy as np
 
-from repro.data import Column, concat_columns
-from repro.engine import sqlast
-from repro.engine.errors import ExecutionError, PlanError
-from repro.engine.eval import Frame, evaluate, predicate_mask
-from repro.engine.functions import aggregate_function
-from repro.engine.kernels import (
+from repro.data import Column, SQLType, concat_columns
+from repro.data.grouping import (
     MAX_CODE_WIDTH,
     aggregate_states,
     factorize_column,
@@ -67,9 +63,12 @@ from repro.engine.kernels import (
     factorize_rows_first,
     group_row_indices,
     merge_states,
-    partial_kind,
-    state_column,
 )
+from repro.engine import sqlast
+from repro.engine.errors import ExecutionError, PlanError
+from repro.engine.eval import Frame, evaluate, predicate_mask
+from repro.engine.functions import aggregate_function
+from repro.engine.kernels import partial_kind, state_column
 from repro.engine.logical import (
     Aggregate,
     Derived,
@@ -92,7 +91,6 @@ from repro.engine.parallel import (
     slice_frame,
     worker_index,
 )
-from repro.engine.types import SQLType
 
 
 class MorselExecutor:

@@ -12,9 +12,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from repro.data import Column
+from repro.data import Column, SQLType
 from repro.engine.errors import ExecutionError
-from repro.engine.types import SQLType
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,6 @@ import json
 
 from repro.data import Column, Table
 from repro.engine.errors import EngineError
-from repro.engine.types import SQLType
 
 
 def _parse_cell(text):

@@ -12,11 +12,7 @@ import numpy as np
 
 from repro.core.executors import ServerSegmentRunner
 from repro.data import ColumnBatch
-from repro.dataflow.transforms.aggregate import (
-    _effective_valid,
-    _group_ids,
-    _key_column,
-)
+from repro.dataflow.transforms.aggregate import group_batch
 from repro.tiles.cube import BrushGrid, TileCube
 
 #: slots per brush axis (before widening); the grid snaps to nice steps
@@ -25,6 +21,10 @@ TILE_RESOLUTION = 48
 
 #: component column names in the build query
 COUNT = "__tc"
+
+#: partial-state kind (:mod:`repro.data.grouping`) per component prefix
+_STATE_KINDS = {"__tv_": "count", "__ts_": "sum", "__tn_": "min",
+                "__tx_": "max"}
 
 
 class TileBuildError(Exception):
@@ -60,7 +60,15 @@ def component_plan(measures):
     return ops, fields, names
 
 
-def build_cube(session, candidate, resolution=TILE_RESOLUTION):
+def component_state(name):
+    """``(kind, measure field)`` of a component column: the partial
+    state it holds (``count_star`` for the total count)."""
+    if name == COUNT:
+        return "count_star", None
+    return _STATE_KINDS[name[:5]], name[5:]
+
+
+def build_cube(session, candidate):
     """(cube, runner) for a tile candidate.
 
     The whole build is one program — per brush axis an extent and the
@@ -88,7 +96,7 @@ def build_cube(session, candidate, resolution=TILE_RESOLUTION):
             axis_steps.append({"type": "extent", "name": name + "_extent",
                                "params": {"field": axis.field}})
             axis_steps.append({"type": "bin",
-                               "grid": [name + "_extent", resolution],
+                               "grid": [name + "_extent", TILE_RESOLUTION],
                                "params": {"field": axis.field, "nice": False,
                                           "as": [name, name + "_hi"]}})
         at = len(candidate.prefix)
@@ -102,7 +110,8 @@ def build_cube(session, candidate, resolution=TILE_RESOLUTION):
         batch, _ = runner.run(program)
         runner.close("tiles")
         grids = [
-            BrushGrid.from_extent(program.values[name + "_extent"], resolution)
+            BrushGrid.from_extent(
+                program.values[name + "_extent"], TILE_RESOLUTION)
             for name in axis_names
         ]
     except Exception as exc:
@@ -116,40 +125,16 @@ def build_cube(session, candidate, resolution=TILE_RESOLUTION):
     return cube, runner
 
 
-def group_key_tuple(columns, valids, row):
-    """The hashable target-group key of one row (NaN folded to NULL),
-    consistent between build ingestion and delta patching."""
-    key = []
-    for column, valid in zip(columns, valids):
-        if column is None or not valid[row]:
-            key.append(None)
-        else:
-            value = column.data[row]
-            key.append(value if isinstance(value, str) else
-                       value.item() if hasattr(value, "item") else value)
-    return tuple(key)
-
-
 def _ingest(batch, grids, axis_names, candidate, component_names):
     """Scatter the build query's result rows into the cube arrays."""
     groupby = list(candidate.groupby)
-    gid, n_groups, first_rows = _group_ids(batch, groupby)
+    gid, _, keys = group_batch(batch, groupby)
+    group_keys = None
     if groupby:
         group_keys = ColumnBatch()
-        for name in groupby:
-            group_keys.add_column(name, _key_column(batch, name, first_rows))
-        columns = [batch.columns.get(name) for name in groupby]
-        valids = [
-            None if c is None else _effective_valid(c) for c in columns
-        ]
-        group_index = {}
-        for position, row in enumerate(first_rows.tolist()):
-            group_index[group_key_tuple(columns, valids, row)] = position
-    else:
-        group_keys = None
-        group_index = {(): 0}
-
-    cube = TileCube(grids, group_keys, group_index, groupby)
+        for name, column in zip(groupby, keys):
+            group_keys.add_column(name, column)
+    cube = TileCube(grids, group_keys, groupby)
 
     # slot per row per brush axis
     slot_arrays = []
@@ -182,21 +167,19 @@ def _ingest(batch, grids, axis_names, candidate, component_names):
         column = batch.columns.get(name)
         if column is None:
             raise TileBuildError("missing component column " + name)
-        if name == COUNT or name.startswith("__tv_"):
+        kind, _ = component_state(name)
+        values = np.where(column.valid, column.data, 0.0)
+        if kind in ("count_star", "count"):
             cube.add_int(name)
-            values = np.where(column.valid, column.data, 0.0)
             rounded = np.round(values).astype(np.int64)
             if bool((np.abs(values - rounded) > 0).any()):
                 raise TileBuildError("non-integral count partial")
             cube.components[name].array[index_tuple] = rounded
-        elif name.startswith("__ts_"):
+        elif kind == "sum":
             cube.add_float(name)
-            cube.components[name].array[index_tuple] = np.where(
-                column.valid, column.data, 0.0)
+            cube.components[name].array[index_tuple] = values
         else:
-            kind = "min" if name.startswith("__tn_") else "max"
             cube.add_minmax(name, kind)
-            cube.components[name].array[index_tuple] = np.where(
-                column.valid, column.data, 0.0)
+            cube.components[name].array[index_tuple] = values
             cube.components[name].present[index_tuple] = column.valid
     return cube

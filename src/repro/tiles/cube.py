@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from repro.data import Column, ColumnBatch, SQLType
+from repro.data import Column, ColumnBatch, SQLType, concat_batches
+from repro.data.grouping import merge_states
 from repro.dataflow.transforms.bin import bin_params
 
 
@@ -182,13 +183,11 @@ class _Component:
 class TileCube:
     """Materialized partial aggregates for one tileable sink."""
 
-    def __init__(self, grids, group_keys, group_index, groupby):
+    def __init__(self, grids, group_keys, groupby):
         self.grids = list(grids)
         #: ColumnBatch of target group key values in first-seen order
         #: (None for a global aggregate)
         self.group_keys = group_keys
-        #: key tuple -> group index, for delta patching
-        self.group_index = group_index
         self.groupby = list(groupby)
         self.n_groups = (
             group_keys.num_rows if group_keys is not None else 1
@@ -302,8 +301,6 @@ class TileCube:
         added = new_keys.num_rows
         if not added:
             return
-        from repro.data.batch import concat_batches
-
         self.group_keys = concat_batches([self.group_keys, new_keys])
         self.n_groups += added
         pad = tuple(g.n_slots for g in self.grids) + (added,)
@@ -320,23 +317,25 @@ class TileCube:
                 )
         self._prefix.clear()
 
-    def accumulate(self, name, index, value):
-        """Fold one delta row into component ``name`` at ``index`` (a
-        full slot+group index tuple)."""
+    def merge(self, name, cells, state):
+        """Merge a delta's partial state (:mod:`repro.data.grouping`) into
+        component ``name``, as the engine merges two morsels' states.
+
+        ``cells`` holds distinct flat cell indices and ``state`` is
+        aligned to them: ``(counts,)`` or ``(sums, ...)`` for the
+        additive components, ``(values, present)`` for min/max."""
         component = self.components[name]
-        if component.kind in ("int", "float"):
-            component.array[index] += value
+        size = len(cells)
+        ids = np.tile(np.arange(size), 2)
+        if component.present is None:
+            old = (component.array.flat[cells],)
+            merged = merge_states("sum", [old, state[:1]], ids, size)
         else:
-            better = (
-                value < component.array[index]
-                if component.kind == "min"
-                else value > component.array[index]
-            )
-            if not component.present[index] or better:
-                component.array[index] = value
-                component.present[index] = True
-        if component.kind == "int":
-            self._prefix.pop(name, None)
+            old = (component.array.flat[cells], component.present.flat[cells])
+            merged = merge_states(component.kind, [old, state], ids, size)
+            component.present.flat[cells] = merged[1]
+        component.array.flat[cells] = merged[0]
+        self._prefix.pop(name, None)
 
 
 def slice_result(cube, memberships, measures, groupby):

@@ -18,8 +18,9 @@ import numpy as np
 
 from repro.core.cache import CacheEntry
 from repro.core.executors import ClientSuffixRunner
-from repro.data import ColumnBatch
-from repro.dataflow.transforms.aggregate import _effective_valid
+from repro.data import Column, ColumnBatch, SQLType, concat_batches
+from repro.data.grouping import aggregate_states, factorize_rows_first
+from repro.dataflow.transforms.aggregate import value_column
 from repro.expr.evaluator import Evaluator, _boolean, _number
 from repro.metrics import NULL as NULL_METRICS
 from repro.planner.costmodel import should_use_tiles
@@ -28,7 +29,7 @@ from repro.tiles.build import (
     TILE_RESOLUTION,
     TileBuildError,
     build_cube,
-    group_key_tuple,
+    component_state,
 )
 from repro.tiles.cube import slice_result
 from repro.tiles.detect import detect_candidate
@@ -57,10 +58,9 @@ class _TileState:
 class TileIndexManager:
     """Owns every tile cube of one session."""
 
-    def __init__(self, mode="auto", resolution=TILE_RESOLUTION, metrics=None):
+    def __init__(self, mode="auto", metrics=None):
         #: "auto" = cost-model gated, "force" = always tile when eligible
         self.mode = mode
-        self.resolution = resolution
         #: always-on plane; the session passes its labeled MetricsView.
         #: It may be off, so the manager keeps its own integer counters
         #: for stats()/explain()
@@ -177,7 +177,7 @@ class TileIndexManager:
     def _estimated_cells(self, candidate, dataset_plan):
         slots = 1
         for _axis in candidate.axes:
-            slots *= self.resolution + 1
+            slots *= TILE_RESOLUTION + 1
         groups = max(1, min(int(dataset_plan.transfer_rows or 1), 4096))
         return slots * groups
 
@@ -195,8 +195,7 @@ class TileIndexManager:
             self.metrics.inc("tiles.evicted")
         start = time.perf_counter()
         try:
-            cube, runner = build_cube(
-                session, entry.candidate, self.resolution)
+            cube, runner = build_cube(session, entry.candidate)
         except TileBuildError:
             entry.dead = True
             self.build_failures += 1
@@ -317,84 +316,30 @@ class TileIndexManager:
                 batch = ColumnBatch.from_rows(pulse.rows)
         else:
             batch = incoming
-        count = batch.num_rows
-        if count == 0:
+        if batch.num_rows == 0:
             return True
 
         slot_arrays = []
         for grid, axis in zip(cube.grids, candidate.axes):
-            column = batch.columns.get(axis.field)
-            if column is None:
-                slots = np.full(count, grid.null_slot, dtype=np.int64)
-            else:
-                slots, in_grid = grid.slots_of_values(
-                    column.data, _effective_valid(column))
-                if not in_grid:
-                    return False  # outside the measured extent: rebuild
+            column = value_column(batch, axis.field)
+            slots, in_grid = grid.slots_of_values(column.data, column.valid)
+            if not in_grid:
+                return False  # outside the measured extent: rebuild
             slot_arrays.append(slots)
+        slot_arrays.append(_delta_groups(cube, batch))
 
-        if candidate.groupby:
-            columns = [batch.columns.get(f) for f in candidate.groupby]
-            valids = [
-                None if c is None else _effective_valid(c) for c in columns
-            ]
-            gid = np.empty(count, dtype=np.int64)
-            new_rows = []
-            for row in range(count):
-                key = group_key_tuple(columns, valids, row)
-                group = cube.group_index.get(key)
-                if group is None:
-                    group = cube.n_groups + len(new_rows)
-                    cube.group_index[key] = group
-                    new_rows.append(row)
-                gid[row] = group
-            if new_rows:
-                keys = ColumnBatch()
-                take = np.asarray(new_rows, dtype=np.int64)
-                from repro.data import Column, SQLType
-
-                for field, column in zip(candidate.groupby, columns):
-                    if column is None:
-                        keys.add_column(
-                            field, Column.nulls(SQLType.DOUBLE, len(take)))
-                    else:
-                        keys.add_column(field, Column(
-                            column.type, column.data,
-                            _effective_valid(column)).take(take))
-                cube.extend_groups(keys)
-        else:
-            gid = np.zeros(count, dtype=np.int64)
-
-        measure_columns = {}
-        for component_name in cube.components:
-            if component_name == "__tc":
-                continue
-            field = component_name[len("__ts_"):]
-            if field not in measure_columns:
-                column = batch.columns.get(field)
-                if column is None:
-                    measure_columns[field] = (None, None)
-                else:
-                    data = column.data
-                    if data.dtype != np.float64:
-                        data = data.astype(np.float64)
-                    measure_columns[field] = (
-                        data, _effective_valid(column))
-
-        for row in range(count):
-            index = tuple(s[row] for s in slot_arrays) + (gid[row],)
-            cube.accumulate("__tc", index, 1)
-            for component_name, component in cube.components.items():
-                if component_name == "__tc":
-                    continue
-                field = component_name[len("__ts_"):]
-                data, valid = measure_columns[field]
-                if data is None or not valid[row]:
-                    continue
-                if component_name.startswith("__tv_"):
-                    cube.accumulate(component_name, index, 1)
-                else:
-                    cube.accumulate(component_name, index, data[row])
+        # reduce the delta per cube cell, then merge the partial states
+        flat = np.ravel_multi_index(slot_arrays, cube.shape)
+        cells, cell_ids = np.unique(flat, return_inverse=True)
+        for name in cube.components:
+            kind, field = component_state(name)
+            column = None
+            if field is not None:
+                # the cube holds DOUBLE partials, as the build query does
+                column = value_column(batch, field)
+                column = Column(SQLType.DOUBLE, column.data, column.valid)
+            cube.merge(name, cells, aggregate_states(
+                kind, column, cell_ids, len(cells)))
         return True
 
     # -- invalidation / lifecycle -------------------------------------------
@@ -456,7 +401,7 @@ class TileIndexManager:
     def stats(self):
         return {
             "mode": self.mode,
-            "resolution": self.resolution,
+            "resolution": TILE_RESOLUTION,
             "builds": self.builds,
             "build_failures": self.build_failures,
             "hits": self.hits,
@@ -509,3 +454,25 @@ class TileIndexManager:
                         ", ".join(a.field
                                   for a in entry.candidate.axes)))
         return lines
+
+
+def _delta_groups(cube, batch):
+    """The cube group of every delta row.  Like the engine's merge of
+    morsel groups, the cube's keys and the delta's are factorized
+    together; keys the cube has not seen grow its group axis in
+    first-seen order."""
+    if not cube.groupby:
+        return np.zeros(batch.num_rows, dtype=np.int64)
+    delta_keys = ColumnBatch()
+    for field in cube.groupby:
+        delta_keys.add_column(field, value_column(batch, field))
+    keys = concat_batches([cube.group_keys, delta_keys])
+    known = cube.n_groups
+    ids, count, first = factorize_rows_first(
+        [keys.columns[field] for field in cube.groupby], keys.num_rows)
+    group_of = np.empty(count, dtype=np.int64)
+    group_of[ids[:known]] = np.arange(known)
+    unseen = np.sort(first[first >= known])
+    group_of[ids[unseen]] = known + np.arange(len(unseen))
+    cube.extend_groups(keys.take(unseen))
+    return group_of[ids[known:]]

@@ -1,6 +1,6 @@
 """Equivalence of the shared group-by kernels with a naive reference.
 
-``repro.engine.kernels`` factorizes key columns without sorting wherever
+``repro.data.grouping`` factorizes key columns without sorting wherever
 it can (dictionary codes, presence bitmaps) and reduces the decomposable
 aggregates with segment kernels.  Both must be indistinguishable from
 the obvious implementation: sort the distinct key tuples (NULL after
@@ -16,16 +16,15 @@ import math
 import numpy as np
 import pytest
 
-from repro.data import Column
-from repro.engine import Database, Table
-from repro.engine.kernels import (
+from repro.data import Column, SQLType
+from repro.data.grouping import (
     aggregate_states,
     factorize_column,
     factorize_rows,
     factorize_rows_first,
-    state_column,
 )
-from repro.engine.types import SQLType
+from repro.engine import Database, Table
+from repro.engine.kernels import state_column
 
 SEEDS = range(12)
 LAYOUTS = ("plain", "coded", "rechunked", "coded-filtered")

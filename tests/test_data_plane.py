@@ -111,6 +111,35 @@ class TestTransformBackCompat:
             out_rows = rowwise.run(Pulse(rows=[]), dict(params), {})
             _assert_rows_identical(out_batch.rows, out_rows.rows)
 
+    def test_wide_group_keys_do_not_wrap_around_int64(self):
+        """Five DOUBLE key fields of 65 535 distinct values each need 80
+        bits of mixed-radix group code.  Unguarded, the first field's
+        share wraps around int64 to zero, and rows 0 and 65 535 — equal
+        except in that field — share a group.  The client twin of the
+        engine's pin in ``tests/test_engine_executor.py``."""
+        size = 65536
+        columns = [np.arange(size, dtype=np.float64) for _ in range(5)]
+        columns[0][-1] = 1.0
+        for column in columns[1:]:
+            column[-1] = 0.0
+        fields = ["k0", "k1", "k2", "k3", "k4"]
+        batch = ColumnBatch()
+        for field, column in zip(fields, columns):
+            batch.add_column(field, Column(SQLType.DOUBLE, column))
+        params = {"groupby": fields, "ops": ["count"], "as": ["n"]}
+
+        columnar = create_transform("aggregate", "aggregate", params, None)
+        columnar.columnar = True
+        out_batch = columnar.run(Pulse(batch=batch), dict(params), {})
+        rowwise = create_transform("aggregate", "aggregate", params, None)
+        rowwise.columnar = False
+        out_rows = rowwise.run(
+            Pulse(rows=batch.to_rows()), dict(params), {})
+
+        assert out_rows.num_rows == size
+        assert out_batch.num_rows == size
+        _assert_rows_identical(out_batch.rows, out_rows.rows)
+
 
 class TestPulseLazyRowView:
     def test_num_rows_does_not_materialize(self):

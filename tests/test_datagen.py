@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data import SQLType
 from repro.datagen import (
     CARRIERS,
     ORIGINS,
@@ -10,7 +11,6 @@ from repro.datagen import (
     generate_events,
     generate_flights,
 )
-from repro.engine.types import SQLType
 
 
 class TestFlights:

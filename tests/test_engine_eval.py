@@ -4,11 +4,10 @@ frames, three-valued logic, comparisons, CASE/CAST/IN semantics."""
 import numpy as np
 import pytest
 
-from repro.data import Column, Table
+from repro.data import Column, SQLType, Table
 from repro.engine import sqlast
 from repro.engine.errors import ExecutionError, PlanError
 from repro.engine.eval import Frame, evaluate, predicate_mask
-from repro.engine.types import SQLType
 
 
 def make_frame(**columns):

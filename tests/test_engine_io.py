@@ -4,9 +4,9 @@ import io
 
 import pytest
 
+from repro.data import SQLType
 from repro.engine import EngineError, Table
 from repro.engine.io import read_csv, read_json, write_csv, write_json
-from repro.engine.types import SQLType
 
 
 class TestReadCsv:

@@ -7,11 +7,12 @@ from repro.data import (
     ArrayChunk,
     Column,
     DictChunk,
+    SQLType,
     Table,
     concat_tables,
+    infer_type,
 )
 from repro.engine.errors import CatalogError, TypeMismatchError
-from repro.engine.types import SQLType, infer_type
 
 
 class TestColumn:

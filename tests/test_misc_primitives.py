@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.results import QueryLogEntry, RunResult
+from repro.data import SQLType, python_value_type
 from repro.dataflow.pulse import Pulse
-from repro.engine.types import python_value_type, SQLType
 from repro.planner.plans import CostBreakdown, PartitionPlan, all_client_plan
 
 

@@ -266,23 +266,53 @@ def test_tile_bytes_are_accounted_in_cache():
 # -- streaming appends -------------------------------------------------------
 
 
-def test_append_patches_tile_incrementally():
+def min_max_spec():
+    """The brush spec with ``min`` and ``max`` of ``dep_delay`` added to
+    the aggregate and read by the mark."""
+    spec = brush_spec()
+    spec["data"][1]["transform"][1] = {
+        "type": "aggregate", "groupby": ["carrier"],
+        "ops": ["count", "mean", "min", "max"],
+        "fields": [None, "dep_delay", "dep_delay", "dep_delay"],
+        "as": ["cnt", "avg", "lo_delay", "hi_delay"]}
+    spec["marks"][0]["encode"]["update"].update({
+        "x2": {"field": "lo_delay"}, "y2": {"field": "hi_delay"}})
+    return spec
+
+
+def unseen_carrier_rows():
+    """An append whose carriers the cube has not seen: "EE" and NULL."""
+    rows = make_rows(40, seed=7)
+    for row in rows[::3]:
+        row["carrier"] = "EE"
+    for row in rows[1::3]:
+        row["carrier"] = None
+    return rows
+
+
+@pytest.mark.parametrize("spec,extra,new_groups", [
+    (None, make_rows(40, seed=7), 0),
+    (None, unseen_carrier_rows(), 2),
+    (min_max_spec(), make_rows(40, seed=7), 0),
+], ids=["seen-groups", "unseen-carrier", "min-max"])
+def test_append_patches_tile_incrementally(spec, extra, new_groups):
     """The acceptance property: an append-only insert patches the cube
     (no rebuild), and the patched cube answers exactly like a direct
     requery AND like a cube rebuilt from scratch on the merged data."""
     rows = make_rows()
-    tiled = make_session(rows=rows, tiles="force")
-    direct = make_session(rows=rows, tiles=False)
+    tiled = make_session(rows=rows, spec=spec, tiles="force")
+    direct = make_session(rows=rows, spec=spec, tiles=False)
     tiled.interact("lo", 250.0)
     direct.interact("lo", 250.0)
     assert tiled.tiles.builds == 1
+    groups = tiled.tiles._states["view"].cube.n_groups
 
-    extra = make_rows(40, seed=7)
     tiled.append_data("t", extra)
     direct.append_data("t", extra)
     assert tiled.tiles.deltas == 1
     assert tiled.tiles.builds == 1          # patched, not rebuilt
     assert tiled.tiles.invalidations == 0
+    assert tiled.tiles._states["view"].cube.n_groups == groups + new_groups
     assert_sessions_agree(tiled, direct, "post-append")
 
     tiled.interact("hi", 750.0)
@@ -291,7 +321,7 @@ def test_append_patches_tile_incrementally():
     assert_sessions_agree(tiled, direct, "post-append slice")
 
     # equivalence against a cold session that builds from the merged data
-    fresh = make_session(rows=rows + extra, tiles="force")
+    fresh = make_session(rows=rows + extra, spec=spec, tiles="force")
     fresh.interact("lo", 250.0)
     fresh.interact("hi", 750.0)
     assert fresh.tiles.builds == 1
